@@ -45,9 +45,9 @@ void RankReuseAblation(BenchReport& r) {
     for (uint32_t g = 0; g < file.group_count(); ++g) {
       const auto* p = file.parity_bucket(g, 0);
       parity_records += p->parity_record_count();
-      for (const auto& [rank, rec] : p->parity_records()) {
-        for (const auto& key : rec.keys) members += key.has_value() ? 1 : 0;
-      }
+      p->ForEachParityRecord([&](const ParityRecordView& rec) {
+        members += rec.member_count();
+      });
     }
     const StorageStats stats = file.GetStorageStats();
     r.Row({reuse ? "reuse (paper 4.3)" : "monotone",

@@ -1,10 +1,10 @@
 #include "lhrs/lhrs_file.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/logging.h"
+#include "lhrs/rank_table.h"
 
 namespace lhrs {
 
@@ -196,10 +196,11 @@ Status LhrsFile::VerifyParityInvariants() const {
       std::vector<std::optional<Key>> keys;
       std::vector<uint32_t> lengths;
       std::vector<BufferView> values;
+      Truth() = default;
       explicit Truth(uint32_t m)
           : keys(m), lengths(m, 0), values(m) {}
     };
-    std::map<Rank, Truth> truth;
+    RankTable<Truth> truth;
     for (uint32_t slot = 0; slot < existing; ++slot) {
       const BucketNo b = g * m + slot;
       if (!network_->available(ctx_->allocation.Lookup(b))) {
@@ -207,8 +208,7 @@ Status LhrsFile::VerifyParityInvariants() const {
                                 std::to_string(b) + " is down");
       }
       for (const auto& rec : rs_bucket(b)->RankedRecords()) {
-        auto [it, unused] = truth.try_emplace(rec.rank, Truth(m));
-        Truth& t = it->second;
+        Truth& t = truth.TryEmplace(rec.rank, m);
         t.keys[slot] = rec.key;
         t.lengths[slot] = static_cast<uint32_t>(rec.value.size());
         t.values[slot] = rec.value;
@@ -217,30 +217,33 @@ Status LhrsFile::VerifyParityInvariants() const {
     const ErasureCoder& coder = lhrs_ctx_->coders->ForK(info.k);
     for (uint32_t j = 0; j < info.k; ++j) {
       const ParityBucketNode* parity = parity_bucket(g, j);
-      const auto& records = parity->parity_records();
       // Every ground-truth rank must have a parity record, and vice versa.
-      if (records.size() != truth.size()) {
+      if (parity->parity_record_count() != truth.size()) {
         return Status::Internal(
             "group " + std::to_string(g) + " parity " + std::to_string(j) +
-            ": " + std::to_string(records.size()) + " parity records vs " +
-            std::to_string(truth.size()) + " record groups");
+            ": " + std::to_string(parity->parity_record_count()) +
+            " parity records vs " + std::to_string(truth.size()) +
+            " record groups");
       }
-      for (const auto& [rank, t] : truth) {
-        auto it = records.find(rank);
-        if (it == records.end()) {
+      for (Rank rank = 0; rank < truth.end_rank(); ++rank) {
+        if (!truth.Contains(rank)) continue;
+        const Truth& t = *truth.Find(rank);
+        const std::optional<ParityRecordView> pr =
+            parity->FindParityRecord(rank);
+        if (!pr.has_value()) {
           return Status::Internal("group " + std::to_string(g) +
                                   ": missing parity record for rank " +
                                   std::to_string(rank));
         }
-        const ParityRecord& pr = it->second;
         for (uint32_t slot = 0; slot < m; ++slot) {
-          if (pr.keys[slot] != t.keys[slot]) {
+          if (pr->key(slot) != t.keys[slot]) {
             return Status::Internal(
                 "group " + std::to_string(g) + " rank " +
                 std::to_string(rank) + ": key mismatch at slot " +
                 std::to_string(slot));
           }
-          if (t.keys[slot].has_value() && pr.lengths[slot] != t.lengths[slot]) {
+          if (t.keys[slot].has_value() &&
+              pr->lengths[slot] != t.lengths[slot]) {
             return Status::Internal(
                 "group " + std::to_string(g) + " rank " +
                 std::to_string(rank) + ": length mismatch at slot " +
@@ -252,7 +255,7 @@ Status LhrsFile::VerifyParityInvariants() const {
           if (!t.keys[slot].has_value()) continue;
           coder.ApplyDelta(slot, t.values[slot], j, &expected);
         }
-        if (!EqualModuloPadding(expected, pr.parity)) {
+        if (!EqualModuloPadding(expected, *pr->parity)) {
           return Status::Internal(
               "group " + std::to_string(g) + " parity " + std::to_string(j) +
               " rank " + std::to_string(rank) + ": parity bytes mismatch");

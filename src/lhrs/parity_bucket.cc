@@ -1,8 +1,10 @@
 #include "lhrs/parity_bucket.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
+#include "net/locality.h"
 #include "net/network.h"
 
 namespace lhrs {
@@ -44,14 +46,76 @@ ParityBucketNode::ParityBucketNode(std::shared_ptr<LhrsContext> ctx,
       group_(group),
       parity_index_(parity_index),
       k_(k),
-      initialized_(pre_initialized) {
+      initialized_(pre_initialized),
+      mask_words_((ctx_->m + 63) / 64) {
   LHRS_CHECK_LT(parity_index_, k_);
 }
 
 size_t ParityBucketNode::StorageBytes() const {
-  size_t n = 0;
-  for (const auto& [rank, rec] : records_) n += rec.StorageBytes();
+  // Per record: 12 bytes of key + length metadata per data slot, plus the
+  // parity bytes.
+  size_t n = record_count_ * ctx_->m * 12;
+  for (Rank r = 0; r < end_rank_; ++r) {
+    if (HasRecord(r)) n += Chunk(r).parity[Row(r)].size();
+  }
   return n;
+}
+
+ParityRecordView ParityBucketNode::View(Rank rank) const {
+  const size_t m = ctx_->m;
+  const SlabChunk& c = Chunk(rank);
+  ParityRecordView view;
+  view.rank = rank;
+  view.members = Members(rank);
+  view.keys = std::span<const Key>(c.keys).subspan(Row(rank) * m, m);
+  view.lengths =
+      std::span<const uint32_t>(c.lengths).subspan(Row(rank) * m, m);
+  view.parity = &c.parity[Row(rank)];
+  return view;
+}
+
+MutableParityRecord ParityBucketNode::MutableParityRecordForTest(Rank rank) {
+  if (!HasRecord(rank)) return {};
+  const size_t m = ctx_->m;
+  SlabChunk& c = Chunk(rank);
+  MutableParityRecord rec;
+  rec.members = Members(rank);
+  rec.keys = std::span<Key>(c.keys).subspan(Row(rank) * m, m);
+  rec.lengths = std::span<uint32_t>(c.lengths).subspan(Row(rank) * m, m);
+  rec.parity = &c.parity[Row(rank)];
+  return rec;
+}
+
+const ErasureCoder& ParityBucketNode::coder() {
+  if (coder_ == nullptr) coder_ = &ctx_->coders->ForK(k_);
+  return *coder_;
+}
+
+void ParityBucketNode::ExtendSlab(Rank rank) {
+  while (slab_.size() * kSlabChunkRanks <= rank) {
+    slab_.push_back(std::make_unique<SlabChunk>(ctx_->m, mask_words_));
+  }
+  end_rank_ = std::max<Rank>(end_rank_, rank + 1);
+}
+
+void ParityBucketNode::ReleaseRank(Rank rank) {
+  SlabChunk& c = Chunk(rank);
+  const size_t row = Row(rank);
+  // The parity of an empty record group must be zero — a cheap, powerful
+  // integrity check of the whole delta pipeline.
+  LHRS_CHECK(AllZero(c.parity[row]))
+      << "non-zero parity for empty record group (g=" << group_
+      << ", r=" << rank << ")";
+  const size_t m = ctx_->m;
+  c.parity[row] = BufferView{};
+  std::fill_n(c.keys.begin() + static_cast<long>(row * m), m, Key{0});
+  std::fill_n(c.lengths.begin() + static_cast<long>(row * m), m, 0u);
+  --record_count_;
+  // Trim trailing free ranks and give back the chunks past the new end.
+  while (end_rank_ > 0 && !HasRecord(end_rank_ - 1)) --end_rank_;
+  while (slab_.size() * kSlabChunkRanks >= end_rank_ + kSlabChunkRanks) {
+    slab_.pop_back();
+  }
 }
 
 void ParityBucketNode::HandleMessage(const Message& msg) {
@@ -105,10 +169,11 @@ void ParityBucketNode::HandleDeliveryFailure(const Message& msg) {
 }
 
 void ParityBucketNode::RecordUpdateRound(size_t deltas) {
-  auto* t = network()->telemetry();
+  telemetry::Telemetry* t = network()->telemetry();
   if (t == nullptr) return;
-  t->metrics().GetCounter("parity.update_rounds").Add();
-  t->metrics().GetCounter("parity.deltas_applied").Add(deltas);
+  telemetry::MetricsRegistry& counters = t->shard(CurrentLocality());
+  counters.GetCounter("parity.update_rounds").Add();
+  counters.GetCounter("parity.deltas_applied").Add(deltas);
   if (t->trace_messages()) {
     t->tracer().Record({network()->now(),
                         telemetry::TraceEventType::kParityUpdateRound, id(),
@@ -138,14 +203,16 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       auto reply = std::make_unique<FindRankReplyMsg>();
       reply->task_id = req.task_id;
       reply->parity_index = parity_index_;
-      auto it = key_index_.find(req.key);
-      if (it != key_index_.end()) {
-        const ParityRecord& rec = records_.at(it->second);
-        // The key must sit at the requested slot: keys are unique file-wide
-        // and the slot is derived from the key's correct bucket.
-        if (rec.keys[req.slot] == req.key) {
+      // The key sits at the requested slot: keys are unique file-wide and
+      // the slot is derived from the key's correct bucket. A scan of that
+      // slot's column (at most a bucket's worth of ranks) finds it.
+      const size_t m = ctx_->m;
+      for (Rank r = 0; req.slot < m && r < end_rank_; ++r) {
+        if (Chunk(r).keys[Row(r) * m + req.slot] == req.key &&
+            IsMember(r, req.slot)) {
           reply->found = true;
-          reply->record = ToWire(it->second, rec);
+          reply->record = ToWire(r);
+          break;
         }
       }
       Send(msg.from, std::move(reply));
@@ -157,10 +224,9 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       auto reply = std::make_unique<ParityRecordReplyMsg>();
       reply->task_id = req.task_id;
       reply->column = ctx_->m + parity_index_;
-      auto it = records_.find(req.rank);
-      if (it != records_.end()) {
+      if (HasRecord(req.rank)) {
         reply->found = true;
-        reply->record = ToWire(it->first, it->second);
+        reply->record = ToWire(req.rank);
       }
       Send(msg.from, std::move(reply));
       return;
@@ -171,9 +237,11 @@ void ParityBucketNode::Dispatch(const Message& msg) {
       auto reply = std::make_unique<ColumnReadReplyMsg>();
       reply->task_id = req.task_id;
       reply->column = ctx_->m + parity_index_;
-      reply->parity_records.reserve(records_.size());
-      for (const auto& [rank, rec] : records_) {
-        reply->parity_records.push_back(ToWire(rank, rec));
+      // Ascending rank order keeps the dump (and every decode fed from
+      // it) deterministic.
+      reply->parity_records.reserve(record_count_);
+      for (Rank r = 0; r < end_rank_; ++r) {
+        if (HasRecord(r)) reply->parity_records.push_back(ToWire(r));
       }
       Send(msg.from, std::move(reply));
       return;
@@ -226,15 +294,18 @@ void ParityBucketNode::ApplyDelta(const ParityDelta& delta) {
   // rank a split mover released) can overtake the bulk kClear batch that
   // frees it, even on the same sender->receiver path. Buffer the delta;
   // applying the predecessor drains it in arrival order.
-  pending_deltas_[{delta.rank, delta.slot}].push_back(delta);
+  pending_deltas_.push_back(delta);
   if (auto* t = network()->telemetry(); t != nullptr) {
-    t->metrics().GetCounter("parity.deltas_buffered").Add();
+    t->shard(CurrentLocality()).GetCounter("parity.deltas_buffered").Add();
   }
 }
 
 bool ParityBucketNode::TryApplyDelta(const ParityDelta& delta) {
-  const uint32_t m = ctx_->m;
+  const size_t m = ctx_->m;
   LHRS_CHECK_LT(delta.slot, m);
+  const Rank rank = delta.rank;
+  const uint64_t bit = uint64_t{1} << (delta.slot % 64);
+  const size_t at = Row(rank) * m + delta.slot;
 
   // Precondition check before touching any state: kSet may not overwrite a
   // different live key, kNone needs a registered member, and kClear must
@@ -243,106 +314,109 @@ bool ParityBucketNode::TryApplyDelta(const ParityDelta& delta) {
   // clear(old key) can arrive after set(new key) for the same (rank, slot)
   // — applied blindly it would remove the new member and let the buffered
   // old set resurrect a deleted key in the parity metadata.
-  auto existing = records_.find(delta.rank);
-  const std::optional<Key>* cur =
-      existing == records_.end() ? nullptr
-                                 : &existing->second.keys[delta.slot];
+  const bool present = IsMember(rank, delta.slot);
   switch (delta.key_op) {
     case ParityDelta::KeyOp::kSet:
-      if (cur != nullptr && cur->has_value() && **cur != delta.key) {
-        return false;
-      }
+      if (present && Chunk(rank).keys[at] != delta.key) return false;
       break;
     case ParityDelta::KeyOp::kNone:
-      if (cur == nullptr || !cur->has_value()) return false;
+      if (!present) return false;
       break;
     case ParityDelta::KeyOp::kClear:
-      if (cur == nullptr || !cur->has_value() || **cur != delta.key) {
-        return false;
-      }
+      if (!present || Chunk(rank).keys[at] != delta.key) return false;
       break;
   }
 
-  auto [it, created] = records_.try_emplace(delta.rank, ParityRecord(m));
-  ParityRecord& rec = it->second;
-
-  const ErasureCoder& coder = ctx_->coders->ForK(k_);
-  coder.ApplyDelta(delta.slot, delta.delta, parity_index_, &rec.parity);
+  // Only a kSet can get here without a record; it creates one in place.
+  if (rank >= end_rank_) ExtendSlab(rank);
+  if (!HasRecord(rank)) ++record_count_;
+  SlabChunk& c = Chunk(rank);
+  uint64_t& word = c.members[Row(rank) * mask_words_ + delta.slot / 64];
+  coder().ApplyDelta(delta.slot, delta.delta, parity_index_,
+                     &c.parity[Row(rank)]);
 
   switch (delta.key_op) {
     case ParityDelta::KeyOp::kNone:
-      rec.lengths[delta.slot] = delta.new_length;
+      c.lengths[at] = delta.new_length;
       break;
     case ParityDelta::KeyOp::kSet:
-      if (!rec.keys[delta.slot].has_value()) {
-        rec.keys[delta.slot] = delta.key;
-        key_index_[delta.key] = delta.rank;
+      if (!present) {
+        word |= bit;
+        c.keys[at] = delta.key;
       }
-      rec.lengths[delta.slot] = delta.new_length;
+      c.lengths[at] = delta.new_length;
       break;
     case ParityDelta::KeyOp::kClear:
-      key_index_.erase(*rec.keys[delta.slot]);
-      rec.keys[delta.slot].reset();
-      rec.lengths[delta.slot] = 0;
+      word &= ~bit;
+      c.keys[at] = 0;
+      c.lengths[at] = 0;
       break;
   }
 
-  if (!rec.HasAnyMember()) {
-    // The last member left: the parity of an empty group must be zero —
-    // a cheap, powerful integrity check of the whole delta pipeline.
-    LHRS_CHECK(AllZero(rec.parity))
-        << "non-zero parity for empty record group (g=" << group_
-        << ", r=" << delta.rank << ")";
-    records_.erase(it);
-  }
+  if (word == 0 && !HasRecord(rank)) ReleaseRank(rank);
   return true;
 }
 
 void ParityBucketNode::DrainPendingDeltas(Rank rank, uint32_t slot) {
-  auto it = pending_deltas_.find({rank, slot});
-  if (it == pending_deltas_.end()) return;
-  // Each successful apply can unblock the next buffered op (a scrambled
-  // set/clear/set chain resolves one alternation at a time), so keep
-  // sweeping the arrival-ordered list until a pass makes no progress.
+  if (pending_deltas_.empty()) return;
+  // Each successful apply can unblock the next buffered op for the same
+  // (rank, slot) (a scrambled set/clear/set chain resolves one alternation
+  // at a time), so keep sweeping in arrival order until a pass makes no
+  // progress.
   bool progress = true;
-  while (progress && !it->second.empty()) {
+  while (progress) {
     progress = false;
-    for (size_t i = 0; i < it->second.size(); ++i) {
-      if (TryApplyDelta(it->second[i])) {
-        it->second.erase(it->second.begin() + static_cast<long>(i));
+    for (auto it = pending_deltas_.begin(); it != pending_deltas_.end();
+         ++it) {
+      if (it->rank != rank || it->slot != slot) continue;
+      if (TryApplyDelta(*it)) {
+        pending_deltas_.erase(it);
         progress = true;
         break;
       }
     }
   }
-  if (it->second.empty()) pending_deltas_.erase(it);
 }
 
-WireParityRecord ParityBucketNode::ToWire(Rank rank,
-                                          const ParityRecord& rec) const {
+WireParityRecord ParityBucketNode::ToWire(Rank rank) const {
+  const ParityRecordView view = View(rank);
   WireParityRecord out;
   out.rank = rank;
-  out.keys = rec.keys;
-  out.lengths = rec.lengths;
-  out.parity = rec.parity;
+  out.keys.resize(ctx_->m);
+  for (uint32_t slot = 0; slot < ctx_->m; ++slot) {
+    out.keys[slot] = view.key(slot);
+  }
+  out.lengths.assign(view.lengths.begin(), view.lengths.end());
+  out.parity = *view.parity;
   return out;
 }
 
 void ParityBucketNode::InstallColumn(const InstallParityColumnMsg& install) {
   LHRS_CHECK_EQ(install.group, group_);
   LHRS_CHECK_EQ(install.parity_index, parity_index_);
-  records_.clear();
-  key_index_.clear();
+  const size_t m = ctx_->m;
+  slab_.clear();
+  end_rank_ = 0;
+  record_count_ = 0;
   pending_deltas_.clear();  // An install supersedes anything buffered.
   for (const auto& wire : install.parity_records) {
-    ParityRecord rec(ctx_->m);
-    rec.keys = wire.keys;
-    rec.lengths = wire.lengths;
-    rec.parity = wire.parity;
-    for (uint32_t slot = 0; slot < ctx_->m; ++slot) {
-      if (rec.keys[slot].has_value()) key_index_[*rec.keys[slot]] = wire.rank;
+    const Rank rank = wire.rank;
+    LHRS_CHECK_EQ(wire.keys.size(), m);
+    LHRS_CHECK_EQ(wire.lengths.size(), m);
+    LHRS_CHECK(!HasRecord(rank)) << "rank " << rank << " installed twice";
+    ExtendSlab(rank);
+    SlabChunk& c = Chunk(rank);
+    const size_t row = Row(rank);
+    for (uint32_t slot = 0; slot < m; ++slot) {
+      c.lengths[row * m + slot] = wire.lengths[slot];
+      if (!wire.keys[slot].has_value()) continue;
+      c.members[row * mask_words_ + slot / 64] |= uint64_t{1} << (slot % 64);
+      c.keys[row * m + slot] = *wire.keys[slot];
     }
-    records_.emplace(wire.rank, std::move(rec));
+    LHRS_CHECK(HasRecord(rank))
+        << "installed parity record " << rank << " has no member";
+    c.parity[row] = wire.parity;
+    ++record_count_;
   }
   initialized_ = true;
 }

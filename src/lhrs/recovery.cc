@@ -9,6 +9,7 @@
 
 #include "common/buffer.h"
 #include "common/logging.h"
+#include "lhrs/rank_table.h"
 
 namespace lhrs {
 
@@ -19,13 +20,15 @@ namespace {
 struct RankState {
   std::vector<std::optional<Key>> keys;     // size m; merged metadata.
   std::vector<uint32_t> lengths;            // size m.
-  // Shared views into the survivors' dump messages — collation never
-  // copies a payload byte.
-  std::map<uint32_t, const BufferView*> data;    // survivor data column.
-  std::map<uint32_t, const BufferView*> parity;  // survivor parity column.
+  // Per column (data slots, then parity columns): a shared view into that
+  // survivor's dump message, or null when it holds nothing at this rank —
+  // collation never copies a payload byte.
+  std::vector<const BufferView*> columns;
   bool have_parity_meta = false;
 
-  explicit RankState(uint32_t m) : keys(m), lengths(m, 0) {}
+  RankState() = default;
+  RankState(uint32_t m, size_t column_count)
+      : keys(m), lengths(m, 0), columns(column_count, nullptr) {}
 };
 
 }  // namespace
@@ -82,15 +85,19 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
   }
 
   // Collate survivors per rank.
-  std::map<Rank, RankState> table;
+  size_t column_count = m + req.k;
+  for (const auto& s : req.survivors) {
+    column_count = std::max<size_t>(column_count, s.column + 1);
+  }
+  RankTable<RankState> table;
   auto rank_state = [&](Rank r) -> RankState& {
-    return table.try_emplace(r, RankState(m)).first->second;
+    return table.TryEmplace(r, m, column_count);
   };
   for (const auto& s : req.survivors) {
     if (s.is_parity(m)) {
       for (const auto& pr : s.parity_records) {
         RankState& st = rank_state(pr.rank);
-        st.parity[s.column] = &pr.parity;
+        st.columns[s.column] = &pr.parity;
         if (!st.have_parity_meta) {
           st.keys = pr.keys;
           st.lengths = pr.lengths;
@@ -100,7 +107,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
     } else {
       for (const auto& rec : s.records) {
         RankState& st = rank_state(rec.rank);
-        st.data[s.column] = &rec.value;
+        st.columns[s.column] = &rec.value;
       }
     }
   }
@@ -108,7 +115,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
   for (const auto& s : req.survivors) {
     if (s.is_parity(m)) continue;
     for (const auto& rec : s.records) {
-      RankState& st = table.at(rec.rank);
+      RankState& st = *table.Find(rec.rank);
       if (st.have_parity_meta) {
         LHRS_CHECK(st.keys[s.column].has_value() &&
                    *st.keys[s.column] == rec.key)
@@ -129,7 +136,12 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
   for (auto& col : out) out_by_col[col.column] = &col;
 
   const BufferView kEmpty;
-  for (auto& [rank, st] : table) {
+  auto column = [&](const RankState& st, uint32_t col) -> const BufferView& {
+    return st.columns[col] == nullptr ? kEmpty : *st.columns[col];
+  };
+  for (Rank rank = 0; rank < table.end_rank(); ++rank) {
+    if (!table.Contains(rank)) continue;
+    const RankState& st = *table.Find(rank);
     // Which of the missing data slots actually hold a member here?
     std::vector<size_t> wanted;
     for (uint32_t col : missing_data) {
@@ -142,9 +154,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
       // Survivor data columns (absent record == empty == zero column).
       for (const auto& s : req.survivors) {
         if (s.is_parity(m)) continue;
-        auto it = st.data.find(s.column);
-        available.emplace_back(s.column,
-                               it == st.data.end() ? kEmpty : *it->second);
+        available.emplace_back(s.column, column(st, s.column));
       }
       // Known-zero (non-existing) slots.
       for (uint32_t slot = req.existing_slots; slot < m; ++slot) {
@@ -154,9 +164,7 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
       // consistent when the rank has no members there, checked by decode).
       for (const auto& s : req.survivors) {
         if (!s.is_parity(m)) continue;
-        auto it = st.parity.find(s.column);
-        available.emplace_back(s.column,
-                               it == st.parity.end() ? kEmpty : *it->second);
+        available.emplace_back(s.column, column(st, s.column));
       }
       if (req.progressive) {
         // Feed the code's incremental decoder column by column and stop as
@@ -199,9 +207,8 @@ Result<std::vector<ReconstructedColumn>> ReconstructColumns(
       for (uint32_t slot = 0; slot < req.existing_slots; ++slot) {
         if (!st.keys[slot].has_value()) continue;
         any_member = true;
-        auto it = st.data.find(slot);
-        if (it != st.data.end()) {
-          row[slot] = *it->second;
+        if (st.columns[slot] != nullptr) {
+          row[slot] = *st.columns[slot];
           continue;
         }
         auto w = std::find(wanted.begin(), wanted.end(), slot);

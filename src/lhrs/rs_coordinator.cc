@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "lhrs/rank_table.h"
 #include "net/network.h"
 
 namespace lhrs {
@@ -784,17 +785,17 @@ void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
     std::vector<std::optional<Key>> keys;
     std::vector<uint32_t> lengths;
     std::vector<const BufferView*> values;
+    Truth() = default;
     explicit Truth(uint32_t m) : keys(m), lengths(m, 0), values(m) {}
   };
-  std::map<Rank, Truth> truth;
+  RankTable<Truth> truth;
   for (const auto& dump : task.dumps) {
     if (dump.is_parity(m)) continue;
     for (const auto& rec : dump.records) {
-      auto [it, unused] = truth.try_emplace(rec.rank, Truth(m));
-      it->second.keys[dump.column] = rec.key;
-      it->second.lengths[dump.column] =
-          static_cast<uint32_t>(rec.value.size());
-      it->second.values[dump.column] = &rec.value;
+      Truth& t = truth.TryEmplace(rec.rank, m);
+      t.keys[dump.column] = rec.key;
+      t.lengths[dump.column] = static_cast<uint32_t>(rec.value.size());
+      t.values[dump.column] = &rec.value;
     }
   }
 
@@ -816,10 +817,10 @@ void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
     std::set<Rank> seen;
     for (const auto& pr : dump.parity_records) {
       seen.insert(pr.rank);
-      auto it = truth.find(pr.rank);
-      bool ok = it != truth.end();
+      const Truth* found = truth.Find(pr.rank);
+      bool ok = found != nullptr;
       if (ok) {
-        const Truth& t = it->second;
+        const Truth& t = *found;
         for (uint32_t slot = 0; slot < m && ok; ++slot) {
           ok = pr.keys[slot] == t.keys[slot] &&
                (!t.keys[slot].has_value() ||
@@ -840,8 +841,8 @@ void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
       }
     }
     // Ranks the parity bucket is missing entirely.
-    for (const auto& [rank, t] : truth) {
-      if (!seen.contains(rank)) {
+    for (Rank rank = 0; rank < truth.end_rank(); ++rank) {
+      if (truth.Contains(rank) && !seen.contains(rank)) {
         ++scrub_report_.mismatched_parity_records;
         bad_columns.insert(dump.column);
       }

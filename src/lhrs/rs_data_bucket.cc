@@ -23,8 +23,11 @@ Rank RsDataBucketNode::RankOf(Key key) const {
 std::vector<RankedRecord> RsDataBucketNode::RankedRecords() const {
   std::vector<RankedRecord> out;
   out.reserve(rank_key_.size());
-  for (const auto& [rank, key] : rank_key_) {
-    out.push_back(RankedRecord{rank, key, *records_.Find(key)});
+  for (Rank r = 0; r < rank_key_.end_rank(); ++r) {
+    if (const Key* key = rank_key_.Find(r); key != nullptr) {
+      // Views into the store's segments: no payload byte is copied.
+      out.push_back(RankedRecord{r, *key, *records_.Find(*key)});
+    }
   }
   return out;
 }
@@ -38,13 +41,20 @@ Rank RsDataBucketNode::AllocRank() {
   return next_rank_++;
 }
 
-void RsDataBucketNode::FreeRank(Rank r) { free_ranks_.push(r); }
-
 void RsDataBucketNode::BindRank(Key key, Rank r) {
+  LHRS_CHECK(!rank_key_.Contains(r)) << "rank " << r << " already bound";
   key_rank_[key] = r;
-  const auto [it, inserted] = rank_key_.emplace(r, key);
-  LHRS_CHECK(inserted) << "rank " << r << " already bound";
-  (void)it;
+  rank_key_.TryEmplace(r, key);
+}
+
+Rank RsDataBucketNode::UnbindRank(Key key) {
+  auto it = key_rank_.find(key);
+  LHRS_CHECK(it != key_rank_.end()) << "no rank for key " << key;
+  const Rank r = it->second;
+  key_rank_.erase(it);
+  rank_key_.Erase(r);
+  free_ranks_.push(r);
+  return r;
 }
 
 void RsDataBucketNode::ParkDelta(ParityDelta delta) {
@@ -109,10 +119,7 @@ void RsDataBucketNode::OnUpdateCommitted(Key key,
 
 void RsDataBucketNode::OnDeleteCommitted(Key key,
                                          const BufferView& old_value) {
-  const Rank r = RankOf(key);
-  key_rank_.erase(key);
-  rank_key_.erase(r);
-  FreeRank(r);
+  const Rank r = UnbindRank(key);
   ParityDelta d;
   d.rank = r;
   d.slot = slot();
@@ -129,10 +136,7 @@ void RsDataBucketNode::OnRecordsMovedOut(std::vector<WireRecord>& moved) {
   std::vector<ParityDelta> deltas;
   deltas.reserve(moved.size());
   for (const auto& rec : moved) {
-    const Rank r = RankOf(rec.key);
-    key_rank_.erase(rec.key);
-    rank_key_.erase(r);
-    FreeRank(r);
+    const Rank r = UnbindRank(rec.key);
     ParityDelta d;
     d.rank = r;
     d.slot = slot();
@@ -190,7 +194,7 @@ void RsDataBucketNode::SendDeltaBatch(std::vector<ParityDelta> deltas) {
 
 void RsDataBucketNode::OnDecommissioned() {
   key_rank_.clear();
-  rank_key_.clear();
+  rank_key_.Clear();
   next_rank_ = 1;
   while (!free_ranks_.empty()) free_ranks_.pop();
 }
@@ -215,12 +219,8 @@ void RsDataBucketNode::HandleSubclassMessage(const Message& msg) {
       reply->task_id = req.task_id;
       reply->column = slot();
       reply->level = level();
-      reply->records.reserve(rank_key_.size());
-      for (const auto& [rank, key] : rank_key_) {
-        // Views into the store's segments: the whole column dump ships
-        // without copying a single payload byte.
-        reply->records.push_back(RankedRecord{rank, key, *records_.Find(key)});
-      }
+      // The whole column dump ships without copying a payload byte.
+      reply->records = RankedRecords();
       Send(msg.from, std::move(reply));
       return;
     }
@@ -229,11 +229,9 @@ void RsDataBucketNode::HandleSubclassMessage(const Message& msg) {
       auto reply = std::make_unique<RecordReadReplyMsg>();
       reply->task_id = req.task_id;
       reply->column = slot();
-      auto it = rank_key_.find(req.rank);
-      if (it != rank_key_.end()) {
+      if (const Key* key = rank_key_.Find(req.rank); key != nullptr) {
         reply->found = true;
-        reply->record =
-            RankedRecord{req.rank, it->second, *records_.Find(it->second)};
+        reply->record = RankedRecord{req.rank, *key, *records_.Find(*key)};
       }
       Send(msg.from, std::move(reply));
       return;
@@ -335,7 +333,7 @@ void RsDataBucketNode::InstallDataColumn(const InstallDataColumnMsg& install) {
   LHRS_CHECK_EQ(install.bucket, bucket_no());
   store::BucketStore records;
   key_rank_.clear();
-  rank_key_.clear();
+  rank_key_.Clear();
   while (!free_ranks_.empty()) free_ranks_.pop();
   Rank max_rank = 0;
   for (const auto& rec : install.records) {
@@ -347,7 +345,7 @@ void RsDataBucketNode::InstallDataColumn(const InstallDataColumnMsg& install) {
   }
   next_rank_ = max_rank + 1;
   for (Rank r = 1; r < next_rank_; ++r) {
-    if (!rank_key_.contains(r)) free_ranks_.push(r);
+    if (!rank_key_.Contains(r)) free_ranks_.push(r);
   }
   InstallRecoveredState(std::move(records), install.level);
 }

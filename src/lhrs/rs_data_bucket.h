@@ -1,13 +1,13 @@
 #ifndef LHRS_LHRS_RS_DATA_BUCKET_H_
 #define LHRS_LHRS_RS_DATA_BUCKET_H_
 
-#include <map>
 #include <memory>
 #include <queue>
 #include <unordered_map>
 #include <vector>
 
 #include "lhrs/messages.h"
+#include "lhrs/rank_table.h"
 #include "lhrs/shared.h"
 #include "lhstar/data_bucket.h"
 
@@ -56,8 +56,9 @@ class RsDataBucketNode : public DataBucketNode {
 
  private:
   Rank AllocRank();
-  void FreeRank(Rank r);
   void BindRank(Key key, Rank r);
+  /// Unbinds a resident key and frees its rank for reuse; returns the rank.
+  Rank UnbindRank(Key key);
   /// Sends one delta to all k parity buckets of this bucket's group.
   void SendDelta(ParityDelta delta);
   /// Holds a delta generated before GroupConfig arrived (only possible on
@@ -85,7 +86,7 @@ class RsDataBucketNode : public DataBucketNode {
   std::priority_queue<Rank, std::vector<Rank>, std::greater<Rank>>
       free_ranks_;
   std::unordered_map<Key, Rank> key_rank_;
-  std::map<Rank, Key> rank_key_;  ///< Ordered for deterministic dumps.
+  RankTable<Key> rank_key_;  ///< Rank order keeps dumps deterministic.
 };
 
 }  // namespace lhrs

@@ -338,14 +338,18 @@ void DataBucketNode::HandleSplitOrder(const SplitOrderMsg& order) {
   LHRS_CHECK(order.new_level == level_ + 1 || order.new_level == level_);
   level_ = order.new_level;
 
+  // Partition by address, then sort only the movers: records move (and are
+  // erased) in ascending key order, so split replay stays deterministic.
   std::vector<WireRecord> moved;
-  records_.ForEachOrdered([&](uint64_t key, const BufferView& value) {
-    if (HashL(key, level_, ctx_->config.initial_buckets) != bucket_no_) {
-      // The wire record shares the stored segment bytes; the erase below
-      // only tombstones the slot, the view keeps the payload alive.
-      moved.push_back(WireRecord{key, 0, value});
-    }
-  });
+  records_.ForEachMatching(
+      [&](uint64_t key, const BufferView&) {
+        return HashL(key, level_, ctx_->config.initial_buckets) != bucket_no_;
+      },
+      [&](uint64_t key, const BufferView& value) {
+        // The wire record shares the stored segment bytes; the erase below
+        // only tombstones the slot, the view keeps the payload alive.
+        moved.push_back(WireRecord{key, 0, value});
+      });
   for (const auto& rec : moved) records_.Erase(rec.key);
   OnRecordsMovedOut(moved);
 
@@ -472,11 +476,13 @@ void DataBucketNode::HandleScanRequest(const ScanRequestMsg& scan) {
   }
 
   std::vector<WireRecord> matches;
-  records_.ForEachOrdered([&](uint64_t key, const BufferView& value) {
-    if (scan.predicate.Matches(key, value)) {
-      matches.push_back(WireRecord{key, 0, value});
-    }
-  });
+  records_.ForEachMatching(
+      [&](uint64_t key, const BufferView& value) {
+        return scan.predicate.Matches(key, value);
+      },
+      [&](uint64_t key, const BufferView& value) {
+        matches.push_back(WireRecord{key, 0, value});
+      });
   if (scan.deterministic || !matches.empty()) {
     auto reply = std::make_unique<ScanReplyMsg>();
     reply->op_id = scan.op_id;

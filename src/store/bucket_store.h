@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/buffer.h"
@@ -94,6 +95,23 @@ class BucketStore {
       auto it = index_.find(key);
       if (it != index_.end()) fn(key, it->second);
     }
+  }
+
+  /// Visits the records for which pred(uint64_t key, const BufferView&
+  /// value) holds, in ascending key order: fn(uint64_t key, const
+  /// BufferView& value). Only the matches are sorted, so a split that moves
+  /// half a bucket or a scan that hits a few records costs one pass over
+  /// the index plus a sort of the hits. fn must not erase records it has
+  /// not been handed yet.
+  template <typename Pred, typename Fn>
+  void ForEachMatching(Pred&& pred, Fn&& fn) const {
+    std::vector<std::pair<uint64_t, const BufferView*>> hits;
+    for (const auto& [key, value] : index_) {
+      if (pred(key, value)) hits.emplace_back(key, &value);
+    }
+    std::sort(hits.begin(), hits.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [key, value] : hits) fn(key, *value);
   }
 
   /// Repacks all live payloads into fresh segments (ascending key order)

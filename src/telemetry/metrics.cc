@@ -116,9 +116,9 @@ const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
+  for (auto& [name, c] : counters_) c = Counter{};
+  for (auto& [name, g] : gauges_) g = Gauge{};
+  for (auto& [name, h] : histograms_) h = Histogram{};
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {

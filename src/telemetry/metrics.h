@@ -136,6 +136,8 @@ class MetricsRegistry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
+  /// Zeroes every series in place. The series stay registered, so handles
+  /// resolved earlier (cached Counter* or Histogram*) remain valid.
   void Reset();
 
   /// Folds every series of `other` into this registry: counter and gauge

@@ -70,9 +70,11 @@ class Telemetry {
   }
 
   /// Drains every worker shard into the main registry (values add,
-  /// histograms merge) and resets the shards, so repeated merges never
-  /// double-count. Call only when the workers are quiescent (between
-  /// Step()s or after Stop) — e.g. from RunReport capture.
+  /// histograms merge) and zeroes the shards, so repeated merges never
+  /// double-count. The shard series stay registered: worker-side handles
+  /// cached before the merge keep pointing at live series. Call only when
+  /// the workers are quiescent (between Step()s or after Stop) — e.g. from
+  /// RunReport capture.
   void MergeShards() {
     for (auto& shard : shards_) {
       metrics_.MergeFrom(*shard);

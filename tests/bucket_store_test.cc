@@ -10,6 +10,7 @@
 
 #include "common/buffer.h"
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "store/bucket_store.h"
 
 namespace lhrs::store {
@@ -166,6 +167,53 @@ TEST(BucketStoreTest, ReaderDuringCompactionMidIteration) {
   ASSERT_EQ(dump.size(), 32u);
   for (const auto& [k, v] : dump) {
     EXPECT_EQ(v.ToBytes(), Val(static_cast<uint8_t>(k), 16)) << "key " << k;
+  }
+}
+
+TEST(BucketStoreTest, MatchingVisitEqualsOrderedFilter) {
+  // The split and scan paths partition by a predicate first and sort only
+  // the hits; they must see exactly the keys, order and values the
+  // whole-bucket ordered walk followed by a filter would — on fresh
+  // stores, after tombstones and overwrites, and after a compaction.
+  using Pred = bool (*)(uint64_t, const BufferView&);
+  const Pred preds[] = {
+      // Split-like: an address bit of a multiplicative hash.
+      [](uint64_t k, const BufferView&) {
+        return ((k * 0x9E3779B97F4A7C15ull) >> 61 & 1) != 0;
+      },
+      // Scan-like: a value predicate.
+      [](uint64_t, const BufferView& v) { return !v.empty() && v[0] % 3 == 0; },
+      [](uint64_t, const BufferView&) { return true; },
+      [](uint64_t, const BufferView&) { return false; },
+  };
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    BucketStore store(/*segment_capacity=*/64 + rng.Uniform(512));
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < 300; ++i) {
+      const uint64_t k = rng.Uniform(4) == 0 ? rng.Uniform(64) : rng.Next64();
+      if (store.Insert(k, rng.RandomBytes(rng.Uniform(40)))) keys.push_back(k);
+    }
+    for (int phase = 0; phase < 3; ++phase) {
+      for (const Pred pred : preds) {
+        std::vector<std::pair<uint64_t, Bytes>> want;
+        store.ForEachOrdered([&](uint64_t k, const BufferView& v) {
+          if (pred(k, v)) want.emplace_back(k, v.ToBytes());
+        });
+        std::vector<std::pair<uint64_t, Bytes>> got;
+        store.ForEachMatching(pred, [&](uint64_t k, const BufferView& v) {
+          got.emplace_back(k, v.ToBytes());
+        });
+        ASSERT_EQ(got, want) << "seed " << seed << " phase " << phase;
+      }
+      // Tombstones and overwrites, then (from the second round) a repack.
+      for (uint64_t k : keys) {
+        const uint64_t roll = rng.Uniform(4);
+        if (roll == 0) store.Erase(k);
+        if (roll == 1) store.Put(k, BufferView(rng.RandomBytes(8)));
+      }
+      if (phase == 1) store.Compact();
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 // deletes and splits, the parity buckets must hold exactly the
 // Reed-Solomon parity of the data buckets, group by group, rank by rank.
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,12 +38,13 @@ TEST(LhrsBasicTest, ParityOfSingleRecordIsItsValue) {
   // With one member, the XOR parity column equals the record's payload.
   LhrsFile file(SmallOptions());
   ASSERT_TRUE(file.Insert(7, Val("solo")).ok());
-  const auto& records = file.parity_bucket(0, 0)->parity_records();
-  ASSERT_EQ(records.size(), 1u);
-  const ParityRecord& pr = records.begin()->second;
-  EXPECT_EQ(pr.parity, Val("solo"));
-  EXPECT_EQ(pr.keys[0], Key{7});
-  EXPECT_EQ(pr.lengths[0], 4u);
+  const ParityBucketNode* pb = file.parity_bucket(0, 0);
+  ASSERT_EQ(pb->parity_record_count(), 1u);
+  const std::optional<ParityRecordView> pr = pb->FindParityRecord(1);
+  ASSERT_TRUE(pr.has_value());
+  EXPECT_EQ(*pr->parity, Val("solo"));
+  EXPECT_EQ(pr->key(0), Key{7});
+  EXPECT_EQ(pr->lengths[0], 4u);
 }
 
 TEST(LhrsBasicTest, UpdateMaintainsParity) {
@@ -237,13 +239,13 @@ TEST(LhrsBasicTest, ReorderedClearOnlyRemovesItsOwnKey) {
   deliver(ParityDelta::KeyOp::kClear, 111, "AAAA");  // Stale: buffers.
   deliver(ParityDelta::KeyOp::kSet, 111, "AAAA");    // Stale: buffers.
   {
-    const auto& records = pb->parity_records();
-    ASSERT_TRUE(records.contains(rank));
-    EXPECT_EQ(records.at(rank).keys[2], Key{222});
-    EXPECT_EQ(records.at(rank).parity, Val("BBBB"));
+    const std::optional<ParityRecordView> pr = pb->FindParityRecord(rank);
+    ASSERT_TRUE(pr.has_value());
+    EXPECT_EQ(pr->key(2), Key{222});
+    EXPECT_EQ(*pr->parity, Val("BBBB"));
   }
   deliver(ParityDelta::KeyOp::kClear, 222, "BBBB");
-  EXPECT_FALSE(pb->parity_records().contains(rank))
+  EXPECT_FALSE(pb->FindParityRecord(rank).has_value())
       << "the buffered stale set/clear pair must cancel to empty";
 }
 
@@ -308,6 +310,25 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{3u, 2u}, std::pair{4u, 1u}, std::pair{4u, 2u},
                       std::pair{4u, 3u}, std::pair{8u, 1u}, std::pair{8u, 2u},
                       std::pair{16u, 2u}));
+
+// Member masks of a parity record span several words once m > 64: slots
+// past 63 keep their parity, recover, and serve reads like the others.
+TEST(LhrsBasicTest, GroupsWiderThanSixtyFourBuckets) {
+  LhrsFile file(SmallOptions(/*m=*/70, /*k=*/2, /*capacity=*/4));
+  Rng rng(2100);
+  std::set<Key> keys;
+  while (keys.size() < 600) keys.insert(rng.Next64());
+  for (Key key : keys) {
+    ASSERT_TRUE(file.Insert(key, rng.RandomBytes(1 + rng.Uniform(30))).ok());
+  }
+  ASSERT_GT(file.bucket_count(), 66u);
+  EXPECT_TRUE(file.VerifyParityInvariants().ok());
+  const NodeId dead = file.CrashDataBucket(66);
+  file.DetectAndRecover(dead);
+  EXPECT_EQ(file.rs_coordinator().groups_lost(), 0u);
+  EXPECT_TRUE(file.VerifyParityInvariants().ok());
+  for (Key key : keys) EXPECT_TRUE(file.Search(key).ok());
+}
 
 // The whole protocol stack over GF(2^16) symbols.
 class LhrsFieldTest

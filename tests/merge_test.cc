@@ -2,6 +2,8 @@
 // inverse of splitting, with parity maintained through the shrink and
 // client images reset when they run ahead of the file.
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -127,6 +129,102 @@ TEST(MergeTest, LhrsParityMaintainedThroughShrink) {
   for (size_t i = 0; i < 40; ++i) {
     EXPECT_TRUE(file.Search(keys[i]).ok());
   }
+}
+
+std::vector<Rank> RanksOf(const LhrsFile& file, BucketNo b) {
+  std::vector<Rank> ranks;
+  for (const RankedRecord& rec : file.rs_bucket(b)->RankedRecords()) {
+    ranks.push_back(rec.rank);
+  }
+  return ranks;
+}
+
+/// Free ranks of bucket `b` below its next fresh rank, ascending.
+std::vector<Rank> FreeRanks(const LhrsFile& file, BucketNo b) {
+  const std::vector<Rank> live = RanksOf(file, b);
+  std::vector<Rank> free;
+  for (Rank r = 1; r < file.rs_bucket(b)->next_rank(); ++r) {
+    if (!std::binary_search(live.begin(), live.end(), r)) free.push_back(r);
+  }
+  return free;
+}
+
+TEST(MergeTest, LhrsRanksStayOrderedAndReuseSmallestFirst) {
+  LhrsFile::Options opts;
+  opts.file.bucket_capacity = 10;
+  opts.file.enable_merge = true;
+  opts.group_size = 4;
+  opts.policy.base_k = 1;
+  LhrsFile file(opts);
+  Rng rng(71);
+  while (file.bucket_count() < 2) {
+    ASSERT_TRUE(file.Insert(rng.Next64(), rng.RandomBytes(16)).ok());
+  }
+
+  // After the split both buckets dump in ascending rank order; the movers
+  // took fresh ranks 1..n at the new bucket, in ascending key order.
+  for (BucketNo b : {0u, 1u}) {
+    const std::vector<Rank> ranks = RanksOf(file, b);
+    EXPECT_TRUE(std::is_sorted(ranks.begin(), ranks.end())) << "bucket " << b;
+  }
+  const std::vector<RankedRecord> moved = file.rs_bucket(1)->RankedRecords();
+  for (size_t i = 0; i < moved.size(); ++i) {
+    EXPECT_EQ(moved[i].rank, i + 1);
+    if (i > 0) {
+      EXPECT_LT(moved[i - 1].key, moved[i].key);
+    }
+  }
+
+  // The split freed ranks at the parent; the next insert there takes the
+  // smallest one.
+  const std::vector<Rank> free0 = FreeRanks(file, 0);
+  ASSERT_FALSE(free0.empty()) << "the split moved nothing out of bucket 0";
+  Key landed = 0;
+  while (landed == 0) {
+    const Key k = rng.Next64();
+    ASSERT_TRUE(file.Insert(k, rng.RandomBytes(16)).ok());
+    if (file.rs_bucket(0)->records().Contains(k)) landed = k;
+  }
+  ASSERT_EQ(file.bucket_count(), 2u);
+  EXPECT_EQ(file.rs_bucket(0)->RankOf(landed), free0.front());
+
+  // Shrink the file until bucket 1 merges back: its records re-enter
+  // bucket 0 in ascending key order, filling bucket 0's free ranks
+  // smallest-first before any fresh rank.
+  std::vector<Key> movers;
+  while (file.bucket_count() == 2) {
+    const std::vector<RankedRecord> b0 = file.rs_bucket(0)->RankedRecords();
+    const std::vector<RankedRecord> b1 = file.rs_bucket(1)->RankedRecords();
+    const bool from_b0 = b0.size() > 2 || b1.empty();
+    ASSERT_FALSE((from_b0 ? b0 : b1).empty());
+    const RankedRecord victim = (from_b0 ? b0 : b1).front();
+    movers.clear();
+    for (const RankedRecord& rec : b1) {
+      if (rec.key != victim.key) movers.push_back(rec.key);
+    }
+    std::sort(movers.begin(), movers.end());
+    std::vector<Rank> expected = FreeRanks(file, 0);
+    if (from_b0) {
+      expected.insert(
+          std::lower_bound(expected.begin(), expected.end(), victim.rank),
+          victim.rank);
+    }
+    Rank fresh = file.rs_bucket(0)->next_rank();
+    while (expected.size() < movers.size()) expected.push_back(fresh++);
+    ASSERT_TRUE(file.Delete(victim.key).ok());
+    if (file.bucket_count() == 1) {
+      for (size_t i = 0; i < movers.size(); ++i) {
+        EXPECT_EQ(file.rs_bucket(0)->RankOf(movers[i]), expected[i])
+            << "mover " << i;
+      }
+    }
+  }
+  EXPECT_FALSE(movers.empty()) << "the merge moved nothing";
+  const std::vector<Rank> ranks = RanksOf(file, 0);
+  EXPECT_TRUE(std::adjacent_find(ranks.begin(), ranks.end(),
+                                 std::greater_equal<Rank>()) == ranks.end())
+      << "ranks not strictly ascending after the merge";
+  EXPECT_TRUE(file.VerifyParityInvariants().ok());
 }
 
 TEST(MergeTest, GrowShrinkGrowCycleStaysConsistent) {

@@ -16,6 +16,7 @@
 #include "chaos/chaos.h"
 #include "common/rng.h"
 #include "lhrs/lhrs_file.h"
+#include "telemetry/telemetry.h"
 
 namespace lhrs {
 namespace {
@@ -116,6 +117,44 @@ TEST(ParallelEquivalenceTest, FaultFreeWorkloadConvergesAcrossModes) {
     EXPECT_EQ(parallel.record_count, oracle.record_count);
     EXPECT_EQ(parallel.op_results, oracle.op_results);
   }
+}
+
+TEST(ParallelEquivalenceTest, TelemetryOnWorkersSurvivesGrowthAndMerges) {
+  // Per-record growth across many splits on two worker localities with
+  // telemetry on. Parity buckets count their delta rounds from worker
+  // threads, and every stats() read merges the worker shards into the main
+  // registry mid-run; handles the workers resolved before a merge must stay
+  // valid after it, and no count may be lost or doubled.
+  LhrsFile file(ModeOptions(2));
+  telemetry::Telemetry* t = file.network().EnableTelemetry();
+  ASSERT_NE(t, nullptr);
+  const std::vector<Key> keys = MakeKeys(400, 97);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(file.Insert(keys[i], Val("v" + std::to_string(i))).ok());
+    if (i % 40 == 39) (void)file.network().stats();
+  }
+  file.network().RunUntilIdle();
+  const MessageStats& stats = file.network().stats();
+  EXPECT_GT(file.bucket_count(), 16u);
+  EXPECT_TRUE(file.VerifyParityInvariants().ok());
+
+  const telemetry::Counter* rounds =
+      t->metrics().FindCounter("parity.update_rounds");
+  const telemetry::Counter* applied =
+      t->metrics().FindCounter("parity.deltas_applied");
+  ASSERT_NE(rounds, nullptr);
+  ASSERT_NE(applied, nullptr);
+  // One update round per delta message delivered to a parity bucket.
+  EXPECT_EQ(rounds->value(),
+            stats.ForKind(LhrsMsg::kParityDelta).messages +
+                stats.ForKind(LhrsMsg::kParityDeltaBatch).messages);
+  // Every insert reaches both parity buckets of its group; split moves add
+  // a clear and a set per mover on top.
+  EXPECT_GE(applied->value(), 2 * keys.size());
+  const telemetry::Histogram* latency =
+      t->metrics().FindHistogram("net.delivery_latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_GT(latency->count(), 0u);
 }
 
 TEST(ParallelEquivalenceTest, VirtualServiceTimeDoesNotChangeResults) {

@@ -28,6 +28,15 @@ class ScrubTest : public ::testing::TestWithParam<const char*> {
   }
 };
 
+/// Lowest rank holding a parity record at `bucket` (0 when it has none).
+Rank FirstRank(const ParityBucketNode& bucket) {
+  Rank first = 0;
+  bucket.ForEachParityRecord([&](const ParityRecordView& rec) {
+    if (first == 0) first = rec.rank;
+  });
+  return first;
+}
+
 void Populate(LhrsFile& file, int n, uint64_t seed) {
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
@@ -51,11 +60,11 @@ TEST_P(ScrubTest, DetectsFlippedParityBits) {
   // Silent bit rot in one parity record of group 0, column 1.
   auto* bucket = file.parity_bucket(0, 1);
   ASSERT_GT(bucket->parity_record_count(), 0u);
-  const Rank rank = bucket->parity_records().begin()->first;
-  ParityRecord* record = bucket->MutableParityRecordForTest(rank);
-  ASSERT_NE(record, nullptr);
-  ASSERT_FALSE(record->parity.empty());
-  record->parity.MutableData()[0] ^= 0xFF;
+  const Rank rank = FirstRank(*bucket);
+  BufferView* parity = bucket->MutableParityRecordForTest(rank).parity;
+  ASSERT_NE(parity, nullptr);
+  ASSERT_FALSE(parity->empty());
+  parity->MutableData()[0] ^= 0xFF;
 
   const auto report = file.Scrub(/*repair=*/false);
   EXPECT_EQ(report.mismatched_parity_records, 1u);
@@ -67,10 +76,10 @@ TEST_P(ScrubTest, DetectsCorruptedMetadata) {
   LhrsFile file(Opts());
   Populate(file, 150, 63);
   auto* bucket = file.parity_bucket(0, 0);
-  const Rank rank = bucket->parity_records().begin()->first;
-  ParityRecord* record = bucket->MutableParityRecordForTest(rank);
-  ASSERT_NE(record, nullptr);
-  record->lengths[0] += 7;  // Length drift.
+  const Rank rank = FirstRank(*bucket);
+  MutableParityRecord record = bucket->MutableParityRecordForTest(rank);
+  ASSERT_NE(record.parity, nullptr);
+  record.lengths[0] += 7;  // Length drift.
   const auto report = file.Scrub();
   EXPECT_GE(report.mismatched_parity_records, 1u);
 }
@@ -81,11 +90,14 @@ TEST_P(ScrubTest, RepairRestoresCorruptedColumns) {
   // Corrupt several records across two parity columns of group 0.
   for (uint32_t j : {0u, 1u}) {
     auto* bucket = file.parity_bucket(0, j);
+    std::vector<Rank> ranks;
+    bucket->ForEachParityRecord(
+        [&](const ParityRecordView& rec) { ranks.push_back(rec.rank); });
     int corrupted = 0;
-    for (const auto& [rank, unused] : bucket->parity_records()) {
-      ParityRecord* record = bucket->MutableParityRecordForTest(rank);
-      if (!record->parity.empty()) {
-        record->parity.MutableData()[record->parity.size() - 1] ^= 0x5A;
+    for (Rank rank : ranks) {
+      BufferView* parity = bucket->MutableParityRecordForTest(rank).parity;
+      if (!parity->empty()) {
+        parity->MutableData()[parity->size() - 1] ^= 0x5A;
         if (++corrupted == 3) break;
       }
     }
@@ -110,10 +122,12 @@ TEST_P(ScrubTest, DetectsDroppedParityRecord) {
   // Simulate a lost record: blank one out via the test hook by zeroing its
   // content is not enough (keys remain); instead corrupt all its keys'
   // metadata so the audit flags it.
-  const Rank rank = bucket->parity_records().rbegin()->first;
-  ParityRecord* record = bucket->MutableParityRecordForTest(rank);
-  for (auto& key : record->keys) {
-    if (key.has_value()) *key ^= 1;  // Wrong member keys.
+  Rank rank = 0;
+  bucket->ForEachParityRecord(
+      [&](const ParityRecordView& rec) { rank = rec.rank; });  // The last.
+  MutableParityRecord record = bucket->MutableParityRecordForTest(rank);
+  for (uint32_t slot = 0; slot < record.keys.size(); ++slot) {
+    if (record.has_member(slot)) record.keys[slot] ^= 1;  // Wrong keys.
   }
   const auto report = file.Scrub(/*repair=*/true);
   EXPECT_GE(report.mismatched_parity_records, 1u);
@@ -129,8 +143,8 @@ TEST_P(ScrubTest, RepairedFileStillRecoversFromFailures) {
     if (file.Insert(k, rng.RandomBytes(24)).ok()) keys.push_back(k);
   }
   auto* bucket = file.parity_bucket(0, 0);
-  const Rank rank = bucket->parity_records().begin()->first;
-  bucket->MutableParityRecordForTest(rank)->parity.MutableData()[0] ^= 0x42;
+  const Rank rank = FirstRank(*bucket);
+  bucket->MutableParityRecordForTest(rank).parity->MutableData()[0] ^= 0x42;
   (void)file.Scrub(/*repair=*/true);
 
   // Buckets 0 and 2 sit in distinct lrc2 local groups, so the double
