@@ -403,7 +403,7 @@ void LhsFile::AdvanceWrite(sdds::OpToken token, LogicalOp& lop,
                std::move(value));
     return;
   }
-  FinishOp(token, OpOutcome{Status::OK(), {}});
+  FinishOp(token, OpOutcome{Status::OK(), {}, {}});
 }
 
 void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
@@ -411,7 +411,7 @@ void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
   if (lop.parity_fetch) {
     // Degraded read: reconstruct the missing stripe from parity.
     if (!sub.status.ok()) {
-      FinishOp(token, OpOutcome{std::move(sub.status), {}});
+      FinishOp(token, OpOutcome{std::move(sub.status), {}, {}});
       return;
     }
     std::vector<const Bytes*> present(stripe_count_, nullptr);
@@ -421,7 +421,7 @@ void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
     lop.stripes[lop.missing] =
         ReconstructStripe(present, sub.value, stripe_count_, lop.missing);
     Bytes assembled = AssembleValue(lop.stripes, stripe_count_);
-    FinishOp(token, OpOutcome{Status::OK(), BufferView(assembled)});
+    FinishOp(token, OpOutcome{Status::OK(), BufferView(assembled), {}});
     return;
   }
   // Gathering the k data stripes (k messages — the striping read penalty).
@@ -432,7 +432,7 @@ void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
   } else if (sub.status.IsNotFound()) {
     // Key absent everywhere: identical split schedules mean no stripe file
     // holds it, so the remaining fetches are skipped.
-    FinishOp(token, OpOutcome{std::move(sub.status), {}});
+    FinishOp(token, OpOutcome{std::move(sub.status), {}, {}});
     return;
   } else if (lop.missing == stripe_count_) {
     lop.missing = s;  // First unavailable stripe: parity can cover it.
@@ -441,6 +441,7 @@ void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
              OpOutcome{Status::DataLoss(
                            "two stripes unavailable: beyond LH*s "
                            "1-availability"),
+                       {},
                        {}});
     return;
   }
@@ -451,7 +452,7 @@ void LhsFile::AdvanceSearch(sdds::OpToken token, LogicalOp& lop,
   }
   if (lop.missing == stripe_count_) {
     Bytes assembled = AssembleValue(lop.stripes, stripe_count_);
-    FinishOp(token, OpOutcome{Status::OK(), BufferView(assembled)});
+    FinishOp(token, OpOutcome{Status::OK(), BufferView(assembled), {}});
     return;
   }
   lop.parity_fetch = true;

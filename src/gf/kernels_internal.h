@@ -1,6 +1,7 @@
 #ifndef LHRS_GF_KERNELS_INTERNAL_H_
 #define LHRS_GF_KERNELS_INTERNAL_H_
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -18,10 +19,9 @@ namespace lhrs::gfk {
 inline constexpr uint32_t kPoly8 = 0x11D;    // x^8+x^4+x^3+x^2+1.
 inline constexpr uint32_t kPoly16 = 0x1100B;  // x^16+x^12+x^3+x+1.
 
-/// Carry-less shift-and-add multiply, used only to build lookup tables
-/// (a few dozen to a few hundred products per bulk call, amortized over
-/// the buffer). Matches GF256::Mul / GF65536::Mul by construction: same
-/// polynomials, same bit order.
+/// Carry-less shift-and-add multiply: the reference product the table
+/// builders are tested against (same polynomials and bit order as
+/// GF256::Mul / GF65536::Mul). Too slow for the table builders themselves.
 inline uint8_t GfMul8(uint8_t a, uint8_t b) {
   uint32_t acc = 0;
   uint32_t aa = a;
@@ -44,15 +44,51 @@ inline uint16_t GfMul16(uint16_t a, uint16_t b) {
   return static_cast<uint16_t>(acc);
 }
 
+// Table building by linearity. Multiplication by a fixed coefficient c is
+// GF(2)-linear, so c * i = c * (i & (i - 1)) ^ c * 2^ctz(i): every entry
+// of a product table is one earlier entry XOR one basis product, and the
+// basis c * 2^b is a chain of doublings (shift, conditional reduce). A
+// table of N entries costs N XORs plus 8 or 16 doublings, where a
+// shift-and-add multiply per entry costs up to 8 or 16 steps each. Every
+// kernel call builds its tables, so on short payloads (parity deltas,
+// 1-KiB record decodes) the build is a large share of the call.
+
+/// basis[b] = coeff * 2^b over GF(2^8), b = 0..7.
+inline void Basis8(uint8_t coeff, uint8_t basis[8]) {
+  uint32_t x = coeff;
+  for (uint32_t b = 0; b < 8; ++b) {
+    basis[b] = static_cast<uint8_t>(x);
+    x <<= 1;
+    if (x & 0x100) x ^= kPoly8;
+  }
+}
+
+/// basis[b] = coeff * 2^b over GF(2^16), b = 0..15.
+inline void Basis16(uint16_t coeff, uint16_t basis[16]) {
+  uint32_t x = coeff;
+  for (uint32_t b = 0; b < 16; ++b) {
+    basis[b] = static_cast<uint16_t>(x);
+    x <<= 1;
+    if (x & 0x10000) x ^= kPoly16;
+  }
+}
+
+/// table[i] = sum of basis[b] over the set bits b of i, for i < n (n a
+/// power of two no larger than 2^(number of basis entries)).
+template <typename T>
+inline void FillByLinearity(const T* basis, uint32_t n, T* table) {
+  table[0] = 0;
+  for (uint32_t i = 1; i < n; ++i) {
+    table[i] = static_cast<T>(table[i & (i - 1)] ^ basis[std::countr_zero(i)]);
+  }
+}
+
 /// row[b] = coeff * b for all 256 bytes — the word-wise GF(2^8) kernel's
 /// L1-resident product row.
 inline void BuildRow8(uint8_t coeff, uint8_t row[256]) {
-  row[0] = 0;
-  // alpha = 2 generates the field: fill by repeated doubling of the
-  // coefficient row index instead of 255 full multiplies.
-  for (uint32_t b = 1; b < 256; ++b) {
-    row[b] = GfMul8(coeff, static_cast<uint8_t>(b));
-  }
+  uint8_t basis[8];
+  Basis8(coeff, basis);
+  FillByLinearity(basis, 256, row);
 }
 
 /// 4-bit split tables for GF(2^8): product(b) = lo[b & 15] ^ hi[b >> 4].
@@ -63,10 +99,10 @@ struct Nib8Tables {
 };
 
 inline void BuildNib8(uint8_t coeff, Nib8Tables* t) {
-  for (uint32_t i = 0; i < 16; ++i) {
-    t->lo[i] = GfMul8(coeff, static_cast<uint8_t>(i));
-    t->hi[i] = GfMul8(coeff, static_cast<uint8_t>(i << 4));
-  }
+  uint8_t basis[8];
+  Basis8(coeff, basis);
+  FillByLinearity(basis, 16, t->lo);
+  FillByLinearity(basis + 4, 16, t->hi);
 }
 
 /// 4-bit split tables for GF(2^16). A symbol s = hi_byte:lo_byte splits
@@ -82,31 +118,31 @@ struct Nib16Tables {
 };
 
 inline void BuildNib16(uint16_t coeff, Nib16Tables* t) {
+  uint16_t basis[16];
+  Basis16(coeff, basis);
   for (uint32_t pos = 0; pos < 4; ++pos) {
+    uint16_t prod[16];
+    FillByLinearity(basis + 4 * pos, 16, prod);
     for (uint32_t i = 0; i < 16; ++i) {
-      const uint16_t p =
-          GfMul16(coeff, static_cast<uint16_t>(i << (4 * pos)));
-      t->prod_lo[pos][i] = static_cast<uint8_t>(p);
-      t->prod_hi[pos][i] = static_cast<uint8_t>(p >> 8);
+      t->prod_lo[pos][i] = static_cast<uint8_t>(prod[i]);
+      t->prod_hi[pos][i] = static_cast<uint8_t>(prod[i] >> 8);
     }
   }
 }
 
 /// 8-bit split tables for GF(2^16) — the word-wise tier's variant:
 /// product(s) = lo[s & 0xFF] ^ hi[s >> 8]. 1 KiB per coefficient, still
-/// L1-resident; 512 table builds amortize over the buffer.
+/// L1-resident.
 struct Split16Tables {
   uint16_t lo[256];
   uint16_t hi[256];
 };
 
 inline void BuildSplit16(uint16_t coeff, Split16Tables* t) {
-  t->lo[0] = 0;
-  t->hi[0] = 0;
-  for (uint32_t b = 1; b < 256; ++b) {
-    t->lo[b] = GfMul16(coeff, static_cast<uint16_t>(b));
-    t->hi[b] = GfMul16(coeff, static_cast<uint16_t>(b << 8));
-  }
+  uint16_t basis[16];
+  Basis16(coeff, basis);
+  FillByLinearity(basis, 256, t->lo);
+  FillByLinearity(basis + 8, 256, t->hi);
 }
 
 /// Scalar tail loops shared by the SIMD translation units (plain C++, no

@@ -31,10 +31,6 @@ struct ReconstructionRequest {
   uint32_t existing_slots = 0;
   std::vector<ColumnDump> survivors;
   std::vector<uint32_t> missing_columns;
-  /// Decode each record group through the code's incremental decoder,
-  /// consuming survivor columns in arrival order and stopping as soon as
-  /// the rank suffices (instead of the one-shot all-columns decode).
-  bool progressive = false;
 };
 
 /// One rebuilt column, ready to install at a spare.
@@ -45,7 +41,9 @@ struct ReconstructedColumn {
 };
 
 /// Rebuilds every requested column of one bucket group from the surviving
-/// columns, rank by rank (each record group decodes independently).
+/// columns. The decode coefficients are solved once per request (one
+/// DecodePlan, whatever the code); each record group then costs one fused
+/// kernel pass per rebuilt value, written into a per-column arena.
 ///
 /// Requirements checked: enough columns for an MDS decode (survivors +
 /// known-zero slots >= m) and, when data columns are missing, at least one

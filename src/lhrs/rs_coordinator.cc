@@ -471,9 +471,10 @@ void RsCoordinatorNode::TryDecodeAndInstall(RecoveryTask& task) {
   req.k = info.k;
   req.coder = &lhrs_ctx_->coders->ForK(info.k);
   req.existing_slots = ExistingSlots(task.group);
-  req.survivors = task.dumps;
+  // The dumps are not read again once the decode starts: late replies of
+  // a progressive task are dropped before they reach the task.
+  req.survivors = std::move(task.dumps);
   req.missing_columns = task.missing_columns;
-  req.progressive = task.progressive;
 
   auto result = ReconstructColumns(req);
   if (!result.ok()) {
@@ -666,7 +667,6 @@ void RsCoordinatorNode::WipeSoftStateAndResurvey() {
 }
 
 void RsCoordinatorNode::FinishSurvey(SurveyState& survey) {
-  const uint32_t m = lhrs_ctx_->m;
   // Allocation table + (A6) file state from the data-bucket replies.
   Level min_level = ~Level{0};
   BucketNo max_bucket = 0;

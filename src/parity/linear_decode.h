@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "common/logging.h"
 #include "common/result.h"
 #include "parity/parity_code.h"
+#include "rs/decode_plan.h"
 #include "rs/matrix.h"
 
 namespace lhrs::parity {
@@ -24,8 +27,9 @@ namespace lhrs::parity {
 /// (known-zero slots are unit equations with an empty payload), and parity
 /// column m+j is sum_i P[i][j] * x_i = payload(m+j). Equations are kept in
 /// reduced row-echelon form; each row also carries the combination of
-/// absorbed payloads that produced it, so solving for a column is a single
-/// pass of MulAdd kernels at Decode() time.
+/// absorbed columns that produced it. Elimination works on column
+/// identities only, so its result is a DecodePlan: solved once, applied to
+/// any number of record groups.
 template <GaloisField F>
 class IncrementalSolver {
  public:
@@ -38,9 +42,9 @@ class IncrementalSolver {
 
   uint32_t m() const { return m_; }
 
-  /// Absorbs one codeword column. Returns true when it raised the rank
-  /// (the payload view is retained for Decode), false when redundant.
-  bool AddColumn(uint32_t column, BufferView payload) {
+  /// Absorbs one codeword column. Returns true when it raised the rank,
+  /// false when redundant.
+  bool AddColumn(uint32_t column) {
     LHRS_CHECK_LT(column, m_ + k_);
     std::vector<Symbol> row(m_, 0);
     if (column < m_) {
@@ -50,9 +54,9 @@ class IncrementalSolver {
         row[i] = pmat_->At(i, column - m_);
       }
     }
-    // New equation's payload combination: the unit vector on the payload
+    // New equation's combination: the unit vector on the absorbed-column
     // slot it would occupy.
-    std::vector<Symbol> comb(payloads_.size() + 1, 0);
+    std::vector<Symbol> comb(rows_.size() + 1, 0);
     comb.back() = 1;
 
     // Reduce against the existing pivot rows.
@@ -86,7 +90,6 @@ class IncrementalSolver {
     pivot_row_[pivot] = rows_.size();
     rows_.push_back(std::move(row));
     combs_.push_back(std::move(comb));
-    payloads_.push_back(std::move(payload));
     return true;
   }
 
@@ -104,39 +107,23 @@ class IncrementalSolver {
     return true;
   }
 
-  /// Solves data column `col` from the absorbed payloads, padded to a
-  /// whole number of field symbols. Requires Solved(col).
-  Bytes Solve(uint32_t col) const {
-    LHRS_CHECK(Solved(col));
-    const auto& comb = combs_[pivot_row_[col]];
-    size_t len = 0;
-    for (size_t i = 0; i < comb.size(); ++i) {
-      if (comb[i] != 0) len = std::max(len, payloads_[i].size());
+  /// The plan that solves `wanted` (each Solved()) from the absorbed
+  /// columns; `positions[i]` is where the i-th useful absorbed column sits
+  /// in the caller's available list.
+  DecodePlan Plan(const std::vector<uint32_t>& wanted,
+                  const std::vector<uint32_t>& positions) const {
+    LHRS_CHECK_EQ(positions.size(), rows_.size());
+    const size_t width = positions.size();
+    std::vector<uint16_t> rows(wanted.size() * width, 0);
+    for (size_t w = 0; w < wanted.size(); ++w) {
+      LHRS_CHECK(Solved(wanted[w]));
+      const auto& comb = combs_[pivot_row_[wanted[w]]];
+      std::copy(comb.begin(), comb.end(), rows.begin() + w * width);
     }
-    len = (len + F::kSymbolBytes - 1) / F::kSymbolBytes * F::kSymbolBytes;
-    Bytes out(len, 0);
-    if (len == 0) return out;
-    // Gather the contributing payloads (padding short ones once; full-length
-    // ones are shared views fed to the kernel in place), then fold them all
-    // into `out` with one fused row pass instead of one MulAdd per payload.
-    std::vector<Bytes> padded_storage;
-    std::vector<const uint8_t*> srcs;
-    std::vector<Symbol> coeffs;
-    for (size_t i = 0; i < comb.size(); ++i) {
-      if (comb[i] == 0 || payloads_[i].empty()) continue;
-      const BufferView& p = payloads_[i];
-      if (p.size() == len) {
-        srcs.push_back(p.data());
-      } else {
-        Bytes padded(len, 0);
-        std::copy(p.data(), p.data() + p.size(), padded.begin());
-        padded_storage.push_back(std::move(padded));
-        srcs.push_back(padded_storage.back().data());
-      }
-      coeffs.push_back(comb[i]);
-    }
-    F::MulAddRow(out.data(), srcs.data(), coeffs.data(), srcs.size(), len);
-    return out;
+    DecodePlan plan;
+    plan.wanted = wanted;
+    CompactDecodePlan(positions, rows, &plan);
+    return plan;
   }
 
  private:
@@ -160,11 +147,12 @@ class IncrementalSolver {
   uint32_t k_;
   std::vector<size_t> pivot_row_;           // data column -> row, or kNoRow.
   std::vector<std::vector<Symbol>> rows_;   // RREF coefficient rows.
-  std::vector<std::vector<Symbol>> combs_;  // payload combination per row.
-  std::vector<BufferView> payloads_;        // shared survivor payloads.
+  std::vector<std::vector<Symbol>> combs_;  // absorbed-column mix per row.
 };
 
-/// ProgressiveDecoder over a concrete field and parity matrix.
+/// ProgressiveDecoder over a concrete field and parity matrix: the solver
+/// tracks the rank, the useful columns' payloads are retained (shared
+/// views), and Decode applies the solver's plan to them.
 template <GaloisField F>
 class ProgressiveDecoderT final : public ProgressiveDecoder {
  public:
@@ -174,12 +162,13 @@ class ProgressiveDecoderT final : public ProgressiveDecoder {
       : solver_(pmat, m, k), wanted_(std::move(wanted_data)) {
     for (uint32_t col : wanted_) LHRS_CHECK_LT(col, m);
     for (uint32_t col : known_zero_data) {
-      solver_.AddColumn(col, BufferView());
+      if (solver_.AddColumn(col)) absorbed_.emplace_back(col, BufferView());
     }
   }
 
   bool AddColumn(uint32_t column, BufferView payload) override {
-    if (!solver_.AddColumn(column, std::move(payload))) return false;
+    if (!solver_.AddColumn(column)) return false;
+    absorbed_.emplace_back(column, std::move(payload));
     ++columns_used_;
     return true;
   }
@@ -197,47 +186,50 @@ class ProgressiveDecoderT final : public ProgressiveDecoder {
           "progressive decode: absorbed columns do not determine every "
           "wanted column");
     }
-    std::vector<Bytes> out;
-    out.reserve(wanted_.size());
-    for (uint32_t col : wanted_) out.push_back(solver_.Solve(col));
-    return out;
+    std::vector<uint32_t> positions(absorbed_.size());
+    std::iota(positions.begin(), positions.end(), 0);
+    return DecodeWithPlan(solver_.Plan(wanted_, positions), absorbed_,
+                          F::kSymbolBytes, ApplyDecodePlan<F>);
   }
 
  private:
   IncrementalSolver<F> solver_;
   std::vector<uint32_t> wanted_;
+  /// Useful columns in absorption order, with their payloads.
+  std::vector<std::pair<size_t, BufferView>> absorbed_;
   size_t columns_used_ = 0;
 };
 
-/// One-shot generalized decode for non-MDS linear codes: feeds the
-/// available columns (data first, so survivor payloads are preferred over
-/// parity recombination) into a solver and solves the wanted columns.
+/// Decode plan for non-MDS linear codes: feeds the available column
+/// identities (data first, so survivor payloads are preferred over parity
+/// recombination) into a solver. Fails with DataLoss when they do not
+/// determine every wanted column.
 template <GaloisField F>
-Result<std::vector<Bytes>> DecodeLinear(
-    const Matrix<F>& pmat, uint32_t m, uint32_t k,
-    const std::vector<std::pair<size_t, BufferView>>& available,
-    const std::vector<size_t>& missing_data) {
-  for (size_t col : missing_data) {
+Result<DecodePlan> PlanLinearDecode(const Matrix<F>& pmat, uint32_t m,
+                                    uint32_t k,
+                                    const std::vector<uint32_t>& columns,
+                                    const std::vector<uint32_t>& wanted) {
+  for (uint32_t col : wanted) {
     LHRS_CHECK_LT(col, m) << "only data columns can be requested";
   }
   IncrementalSolver<F> solver(&pmat, m, k);
-  for (const auto& [col, payload] : available) {
-    if (col < m) solver.AddColumn(static_cast<uint32_t>(col), payload);
+  std::vector<uint32_t> positions;
+  for (const bool data_pass : {true, false}) {
+    for (size_t pos = 0; pos < columns.size(); ++pos) {
+      if ((columns[pos] < m) != data_pass) continue;
+      if (solver.AddColumn(columns[pos])) {
+        positions.push_back(static_cast<uint32_t>(pos));
+      }
+    }
   }
-  for (const auto& [col, payload] : available) {
-    if (col >= m) solver.AddColumn(static_cast<uint32_t>(col), payload);
-  }
-  std::vector<Bytes> out;
-  out.reserve(missing_data.size());
-  for (size_t col : missing_data) {
-    if (!solver.Solved(static_cast<uint32_t>(col))) {
+  for (uint32_t col : wanted) {
+    if (!solver.Solved(col)) {
       return Status::DataLoss(
           "unrecoverable record group: available columns do not determine "
           "data column " + std::to_string(col));
     }
-    out.push_back(solver.Solve(static_cast<uint32_t>(col)));
   }
-  return out;
+  return solver.Plan(wanted, positions);
 }
 
 }  // namespace lhrs::parity

@@ -52,6 +52,23 @@ Result<CodeSpec> CodeSpec::Parse(std::string_view name) {
 
 namespace {
 
+template <typename Payload>
+Result<std::vector<Bytes>> DecodeThroughPlan(
+    const ParityCode& code,
+    const std::vector<std::pair<size_t, Payload>>& available,
+    const std::vector<size_t>& missing_data) {
+  auto plan = code.PlanDecode(
+      ColumnsOf(available),
+      std::vector<uint32_t>(missing_data.begin(), missing_data.end()));
+  if (!plan.ok()) return plan.status();
+  return DecodeWithPlan(
+      *plan, available, code.PaddedLength(1) /* bytes per symbol */,
+      [&code](const DecodePlan& p, size_t w, const uint8_t* const* srcs,
+              size_t len, uint8_t* dst) {
+        code.ApplyPlan(p, w, srcs, len, dst);
+      });
+}
+
 template <GaloisField F>
 Result<std::unique_ptr<ParityCode>> MakeTyped(const CodeSpec& spec,
                                               uint32_t m, uint32_t k) {
@@ -74,6 +91,18 @@ Result<std::unique_ptr<ParityCode>> MakeTyped(const CodeSpec& spec,
 }
 
 }  // namespace
+
+Result<std::vector<Bytes>> ParityCode::DecodeData(
+    const std::vector<std::pair<size_t, BufferView>>& available,
+    const std::vector<size_t>& missing_data) const {
+  return DecodeThroughPlan(*this, available, missing_data);
+}
+
+Result<std::vector<Bytes>> ParityCode::DecodeData(
+    const std::vector<std::pair<size_t, Bytes>>& available,
+    const std::vector<size_t>& missing_data) const {
+  return DecodeThroughPlan(*this, available, missing_data);
+}
 
 Result<std::unique_ptr<ParityCode>> MakeParityCode(const CodeSpec& spec,
                                                    uint32_t m, uint32_t k,

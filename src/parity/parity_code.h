@@ -11,6 +11,7 @@
 #include "common/buffer.h"
 #include "common/bytes.h"
 #include "common/result.h"
+#include "rs/decode_plan.h"
 
 namespace lhrs {
 
@@ -122,14 +123,33 @@ class ParityCode {
   virtual std::vector<Bytes> Encode(
       std::span<const Bytes* const> data) const = 0;
 
+  /// Solves, once, the decode coefficients that yield the data columns
+  /// `wanted` from the available codeword columns `columns` (identities
+  /// in the caller's order; known-zero data slots count as available).
+  /// The plan depends on identities only, so one plan serves every record
+  /// group with the same columns in hand. Fails with DataLoss when the
+  /// columns do not determine the wanted ones.
+  virtual Result<DecodePlan> PlanDecode(
+      const std::vector<uint32_t>& columns,
+      const std::vector<uint32_t>& wanted) const = 0;
+
+  /// dst[0, len) ^= wanted column `w` of `plan`: one fused kernel pass
+  /// over the plan's sources. `srcs[t]` holds `len` bytes of source t
+  /// (zero-padded as needed) or is nullptr for a known-zero column; `len`
+  /// is a whole number of field symbols.
+  virtual void ApplyPlan(const DecodePlan& plan, size_t w,
+                         const uint8_t* const* srcs, size_t len,
+                         uint8_t* dst) const = 0;
+
   /// Reconstructs the requested data columns from the available columns
-  /// (shared views of the survivors' dumps; no payload copies). Absent-
-  /// but-known-zero data slots should be passed as available columns with
-  /// an empty payload. Fails with DataLoss when the available columns do
-  /// not determine the wanted ones.
-  virtual Result<std::vector<Bytes>> DecodeData(
+  /// (shared views of the survivors' dumps; no payload copies): one
+  /// PlanDecode and one ApplyPlan per wanted column. Absent-but-known-zero
+  /// data slots should be passed as available columns with an empty
+  /// payload. Fails with DataLoss when the available columns do not
+  /// determine the wanted ones.
+  Result<std::vector<Bytes>> DecodeData(
       const std::vector<std::pair<size_t, BufferView>>& available,
-      const std::vector<size_t>& missing_data) const = 0;
+      const std::vector<size_t>& missing_data) const;
 
   /// True when the codeword columns in `columns` (values in hand,
   /// including known-zero data columns) determine every column in
@@ -157,17 +177,11 @@ class ParityCode {
   /// Rounds a payload length up to a whole number of field symbols.
   virtual size_t PaddedLength(size_t n) const = 0;
 
-  /// Convenience overload for owned buffers (tests, benches).
+  /// Overload for owned buffers (tests, benches); no payload copies
+  /// either.
   Result<std::vector<Bytes>> DecodeData(
       const std::vector<std::pair<size_t, Bytes>>& available,
-      const std::vector<size_t>& missing_data) const {
-    std::vector<std::pair<size_t, BufferView>> views;
-    views.reserve(available.size());
-    for (const auto& [col, payload] : available) {
-      views.emplace_back(col, BufferView(payload));
-    }
-    return DecodeData(views, missing_data);
-  }
+      const std::vector<size_t>& missing_data) const;
 };
 
 /// Builds a parity code over the requested field. Fails with

@@ -42,10 +42,16 @@ class RsCodeT final : public ParityCode {
     return impl_.Encode(data);
   }
 
-  Result<std::vector<Bytes>> DecodeData(
-      const std::vector<std::pair<size_t, BufferView>>& available,
-      const std::vector<size_t>& missing_data) const override {
-    return impl_.DecodeData(available, missing_data);
+  Result<DecodePlan> PlanDecode(
+      const std::vector<uint32_t>& columns,
+      const std::vector<uint32_t>& wanted) const override {
+    return impl_.PlanDecode(columns, wanted);
+  }
+
+  void ApplyPlan(const DecodePlan& plan, size_t w,
+                 const uint8_t* const* srcs, size_t len,
+                 uint8_t* dst) const override {
+    ApplyDecodePlan<F>(plan, w, srcs, len, dst);
   }
 
   bool CanDecodeFrom(

@@ -11,6 +11,7 @@
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/result.h"
+#include "rs/decode_plan.h"
 #include "rs/generator.h"
 #include "rs/matrix.h"
 
@@ -159,51 +160,49 @@ class GroupCoder {
   Result<std::vector<Bytes>> DecodeData(
       const std::vector<std::pair<size_t, Bytes>>& available,
       const std::vector<size_t>& missing_data) const {
-    std::vector<std::pair<size_t, BufferView>> views;
-    views.reserve(available.size());
-    for (const auto& [col, payload] : available) {
-      views.emplace_back(col, BufferView(payload));
-    }
-    return DecodeData(views, missing_data);
+    return DecodeAvailable(available, missing_data);
   }
 
   /// Zero-copy overload: survivor columns come in as shared views (straight
-  /// out of recovery dumps); only the decode work buffers are allocated.
+  /// out of recovery dumps); only the decoded buffers are allocated.
   Result<std::vector<Bytes>> DecodeData(
       const std::vector<std::pair<size_t, BufferView>>& available,
       const std::vector<size_t>& missing_data) const {
-    if (available.size() < m_) {
+    return DecodeAvailable(available, missing_data);
+  }
+
+  /// Solves the decode coefficients for the available column identities
+  /// `columns` (in the caller's order): uses exactly m of them, preferring
+  /// data columns (they carry identity rows, keeping the decode matrix
+  /// mostly trivial), and inverts their stacked generator columns once.
+  /// Fails with DataLoss when fewer than m columns are available.
+  Result<DecodePlan> PlanDecode(const std::vector<uint32_t>& columns,
+                                const std::vector<uint32_t>& wanted) const {
+    if (columns.size() < m_) {
       return Status::DataLoss(
-          "unrecoverable record group: " + std::to_string(available.size()) +
+          "unrecoverable record group: " + std::to_string(columns.size()) +
           " of " + std::to_string(m_) + " required columns available");
     }
-    for (size_t col : missing_data) {
+    for (uint32_t col : wanted) {
       LHRS_CHECK_LT(col, m_) << "only data columns can be requested";
     }
-    // Use exactly m of the available columns, preferring data columns (they
-    // carry identity rows, keeping the decode matrix mostly trivial).
-    std::vector<std::pair<size_t, const BufferView*>> use;
+    std::vector<uint32_t> use;  // Positions in `columns`.
     use.reserve(m_);
-    for (const auto& [col, payload] : available) {
-      if (col < m_ && use.size() < m_) use.emplace_back(col, &payload);
+    for (size_t pos = 0; pos < columns.size() && use.size() < m_; ++pos) {
+      if (columns[pos] < m_) use.push_back(static_cast<uint32_t>(pos));
     }
-    for (const auto& [col, payload] : available) {
-      if (col >= m_ && use.size() < m_) use.emplace_back(col, &payload);
+    for (size_t pos = 0; pos < columns.size() && use.size() < m_; ++pos) {
+      if (columns[pos] >= m_) use.push_back(static_cast<uint32_t>(pos));
     }
     LHRS_CHECK_EQ(use.size(), m_);
 
-    size_t len = 0;
-    for (const auto& [col, payload] : use) {
-      len = std::max(len, payload->size());
-    }
-    len = PaddedLength(len);
-
     // Codeword relation: value(col) = sum_i d_i * G[i][col] with
     // G = [I | P]. Stack the m used columns into A (m x m):
-    // A[i][t] = G[i][use[t].col]; then d = values * A^{-1}.
+    // A[i][t] = G[i][use[t]]; then d = values * A^{-1}, so wanted column
+    // w reads used column t with coefficient Ainv[t][w].
     Matrix<F> a(m_, m_);
     for (size_t t = 0; t < m_; ++t) {
-      const size_t col = use[t].first;
+      const size_t col = columns[use[t]];
       for (size_t i = 0; i < m_; ++i) {
         if (col < m_) {
           a.Set(i, t, i == col ? 1 : 0);
@@ -217,40 +216,16 @@ class GroupCoder {
       return Status::Internal("decode matrix singular — MDS violation: " +
                               inv.status().message());
     }
-
-    // Pad each survivor once (full-length survivors are shared views fed to
-    // the kernel in place), then reconstruct each wanted column with one
-    // fused row pass over all m survivors: d_want = sum_t values_t *
-    // Ainv[t][want]. Empty survivors are known-zero buffers; zeroing their
-    // coefficient lets the kernel skip them without a padded copy.
-    std::vector<Bytes> padded_storage;
-    std::vector<const uint8_t*> srcs(m_, nullptr);
-    std::vector<bool> known_zero(m_, false);
-    for (size_t t = 0; t < m_; ++t) {
-      const BufferView& col = *use[t].second;
-      if (col.empty() || len == 0) {
-        known_zero[t] = true;
-      } else if (col.size() == len) {
-        srcs[t] = col.data();
-      } else {
-        padded_storage.push_back(PadTo(col, len));
-        srcs[t] = padded_storage.back().data();
-      }
-    }
-    std::vector<Symbol> coeffs(m_);
-    std::vector<Bytes> out;
-    out.reserve(missing_data.size());
-    for (size_t want : missing_data) {
-      Bytes rec(len, 0);
+    DecodePlan plan;
+    plan.wanted = wanted;
+    std::vector<uint16_t> rows(wanted.size() * m_);
+    for (size_t w = 0; w < wanted.size(); ++w) {
       for (size_t t = 0; t < m_; ++t) {
-        coeffs[t] = known_zero[t] ? 0 : inv->At(t, want);
+        rows[w * m_ + t] = inv->At(t, wanted[w]);
       }
-      if (len != 0) {
-        F::MulAddRow(rec.data(), srcs.data(), coeffs.data(), m_, len);
-      }
-      out.push_back(std::move(rec));
     }
-    return out;
+    CompactDecodePlan(use, rows, &plan);
+    return plan;
   }
 
   /// Rounds a payload length up to a whole number of field symbols.
@@ -260,6 +235,20 @@ class GroupCoder {
   }
 
  private:
+  /// DecodeData for either payload type: one PlanDecode, then one fused
+  /// row pass per wanted column.
+  template <typename Payload>
+  Result<std::vector<Bytes>> DecodeAvailable(
+      const std::vector<std::pair<size_t, Payload>>& available,
+      const std::vector<size_t>& missing_data) const {
+    auto plan = PlanDecode(
+        ColumnsOf(available),
+        std::vector<uint32_t>(missing_data.begin(), missing_data.end()));
+    if (!plan.ok()) return plan.status();
+    return DecodeWithPlan(*plan, available, F::kSymbolBytes,
+                          ApplyDecodePlan<F>);
+  }
+
   size_t m_;
   size_t k_;
   Matrix<F> parity_matrix_;

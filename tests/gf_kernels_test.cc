@@ -20,6 +20,7 @@
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
 #include "gf/kernels.h"
+#include "gf/kernels_internal.h"
 
 namespace lhrs {
 namespace {
@@ -249,6 +250,123 @@ TEST_F(GfKernelsTest, RowApplySkipsZeroCoefficientSourcesWithoutReading) {
     k->matrix_row_apply_16(got.data(), srcs, coeffs16, 3, n);
     Scalar().mul_add_16(want.data(), real.data(), n, 7);
     EXPECT_EQ(got, want) << k->name;
+  }
+}
+
+// Table builders (filled by linearity) against the shift-and-add reference
+// product: exhaustive over GF(2^8) coefficients.
+TEST(GfKernelTablesTest, Nib8AndRow8MatchReferenceForAllCoefficients) {
+  for (uint32_t c = 0; c < 256; ++c) {
+    const auto coeff = static_cast<uint8_t>(c);
+    gfk::Nib8Tables nib;
+    gfk::BuildNib8(coeff, &nib);
+    uint8_t row[256];
+    gfk::BuildRow8(coeff, row);
+    for (uint32_t i = 0; i < 16; ++i) {
+      ASSERT_EQ(nib.lo[i], gfk::GfMul8(coeff, static_cast<uint8_t>(i)))
+          << "coeff=" << c << " i=" << i;
+      ASSERT_EQ(nib.hi[i], gfk::GfMul8(coeff, static_cast<uint8_t>(i << 4)))
+          << "coeff=" << c << " i=" << i;
+    }
+    for (uint32_t b = 0; b < 256; ++b) {
+      ASSERT_EQ(row[b], gfk::GfMul8(coeff, static_cast<uint8_t>(b)))
+          << "coeff=" << c << " b=" << b;
+    }
+  }
+}
+
+// GF(2^16): 0, 1, every power of two, 0xFFFF and 1000 seeded random
+// coefficients.
+TEST(GfKernelTablesTest, Nib16AndSplit16MatchReference) {
+  std::vector<uint16_t> coeffs = {0, 1, 0xFFFF};
+  for (uint32_t b = 1; b < 16; ++b) {
+    coeffs.push_back(static_cast<uint16_t>(1u << b));
+  }
+  Rng rng(0x7ab1e5);
+  for (int i = 0; i < 1000; ++i) {
+    coeffs.push_back(static_cast<uint16_t>(rng.Next64()));
+  }
+  for (uint16_t coeff : coeffs) {
+    gfk::Nib16Tables nib;
+    gfk::BuildNib16(coeff, &nib);
+    for (uint32_t pos = 0; pos < 4; ++pos) {
+      for (uint32_t i = 0; i < 16; ++i) {
+        const uint16_t want =
+            gfk::GfMul16(coeff, static_cast<uint16_t>(i << (4 * pos)));
+        ASSERT_EQ(nib.prod_lo[pos][i], static_cast<uint8_t>(want))
+            << "coeff=" << coeff << " pos=" << pos << " i=" << i;
+        ASSERT_EQ(nib.prod_hi[pos][i], static_cast<uint8_t>(want >> 8))
+            << "coeff=" << coeff << " pos=" << pos << " i=" << i;
+      }
+    }
+    gfk::Split16Tables split;
+    gfk::BuildSplit16(coeff, &split);
+    for (uint32_t b = 0; b < 256; ++b) {
+      ASSERT_EQ(split.lo[b], gfk::GfMul16(coeff, static_cast<uint16_t>(b)))
+          << "coeff=" << coeff << " b=" << b;
+      ASSERT_EQ(split.hi[b],
+                gfk::GfMul16(coeff, static_cast<uint16_t>(b << 8)))
+          << "coeff=" << coeff << " b=" << b;
+    }
+  }
+}
+
+// Short payloads (1-129 bytes), where table set-up dominates a call: every
+// tier's MulAdd and RowApply must equal the scalar tier's sequential
+// MulAdds, for random coefficients (zeros and ones included).
+TEST_F(GfKernelsTest, ShortPayloadsMatchScalarOnEveryTier) {
+  Rng rng(0x5407);
+  constexpr size_t kSrcs = 5;
+  auto coeff_at = [&](size_t s) -> uint64_t {
+    return s == 0 ? 0 : s == 1 ? 1 : rng.Next64();
+  };
+  for (const GfKernels* k : AvailableKernels()) {
+    for (size_t n = 1; n <= 129; ++n) {
+      std::vector<Bytes> store;
+      std::vector<const uint8_t*> srcs;
+      for (size_t s = 0; s < kSrcs; ++s) {
+        store.push_back(rng.RandomBytes(n));
+        srcs.push_back(store.back().data());
+      }
+      const Bytes dst_init = rng.RandomBytes(n);
+
+      std::vector<uint8_t> c8;
+      for (size_t s = 0; s < kSrcs; ++s) {
+        c8.push_back(static_cast<uint8_t>(coeff_at(s)));
+      }
+      Bytes got = dst_init;
+      Bytes want = dst_init;
+      k->mul_add_8(got.data(), srcs[2], n, c8[2]);
+      Scalar().mul_add_8(want.data(), srcs[2], n, c8[2]);
+      ASSERT_EQ(got, want) << "mul_add_8 tier=" << k->name << " n=" << n;
+      got = dst_init;
+      want = dst_init;
+      k->matrix_row_apply_8(got.data(), srcs.data(), c8.data(), kSrcs, n);
+      for (size_t s = 0; s < kSrcs; ++s) {
+        Scalar().mul_add_8(want.data(), srcs[s], n, c8[s]);
+      }
+      ASSERT_EQ(got, want) << "row_apply_8 tier=" << k->name << " n=" << n;
+
+      const size_t n16 = n & ~size_t{1};  // Whole GF(2^16) symbols.
+      std::vector<uint16_t> c16;
+      for (size_t s = 0; s < kSrcs; ++s) {
+        c16.push_back(static_cast<uint16_t>(coeff_at(s)));
+      }
+      got = dst_init;
+      want = dst_init;
+      k->mul_add_16(got.data(), srcs[3], n16, c16[3]);
+      Scalar().mul_add_16(want.data(), srcs[3], n16, c16[3]);
+      ASSERT_EQ(got, want) << "mul_add_16 tier=" << k->name << " n=" << n16;
+      got = dst_init;
+      want = dst_init;
+      k->matrix_row_apply_16(got.data(), srcs.data(), c16.data(), kSrcs,
+                             n16);
+      for (size_t s = 0; s < kSrcs; ++s) {
+        Scalar().mul_add_16(want.data(), srcs[s], n16, c16[s]);
+      }
+      ASSERT_EQ(got, want) << "row_apply_16 tier=" << k->name
+                           << " n=" << n16;
+    }
   }
 }
 
