@@ -19,17 +19,19 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/buffer.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "gf/gf256.h"
-#include "gf/gf65536.h"
 #include "gf/kernels.h"
-#include "rs/coder.h"
+#include "parity/parity_code.h"
+#include "rs/generator.h"
 
 namespace lhrs::bench {
 namespace {
@@ -105,12 +107,19 @@ void RunKernelTiers(BenchReport& rep) {
   }
 }
 
-template <typename F>
-void EncodeDecodeRows(BenchReport& rep, const char* field,
-                      const GfKernels* tier) {
+std::unique_ptr<parity::ParityCode> RsCode(uint32_t m, uint32_t k,
+                                           FieldChoice field) {
+  auto code = parity::MakeParityCode(parity::CodeSpec{}, m, k, field);
+  LHRS_CHECK(code.ok()) << code.status();
+  return std::move(code).value();
+}
+
+void EncodeDecodeRows(BenchReport& rep, FieldChoice field_choice,
+                      const char* field, const GfKernels* tier) {
   const uint32_t m = 4, k = 3;
   const size_t n = 16384;
-  GroupCoder<F> coder(m, k);
+  const auto code = RsCode(m, k, field_choice);
+  const parity::ParityCode& coder = *code;
   std::vector<Bytes> data;
   std::vector<const Bytes*> ptrs;
   for (uint32_t i = 0; i < m; ++i) data.push_back(MakeBuffer(n, 10 + i));
@@ -144,8 +153,8 @@ void RunEncodeDecodeTiers(BenchReport& rep) {
   const GfKernels& startup = ActiveKernels();
   for (const GfKernels* k : AvailableKernels()) {
     ForceActiveKernelsForTesting(k);
-    EncodeDecodeRows<GF256>(rep, "gf8", k);
-    EncodeDecodeRows<GF65536>(rep, "gf16", k);
+    EncodeDecodeRows(rep, FieldChoice::kGf256, "gf8", k);
+    EncodeDecodeRows(rep, FieldChoice::kGf65536, "gf16", k);
   }
   ForceActiveKernelsForTesting(nullptr);
   (void)startup;
@@ -158,8 +167,9 @@ void RunUpdateAblation(BenchReport& rep) {
       {"op", "ops", "bytes", "ops/s", "bytes/s"});
   const uint32_t m = 4, k = 2;
   const size_t n = 16384;
+  const auto code = RsCode(m, k, FieldChoice::kGf256);
+  const parity::ParityCode& coder = *code;
   {
-    GroupCoder<GF256> coder(m, k);
     Bytes delta = MakeBuffer(n, 30);
     std::vector<Bytes> parity(k, Bytes(n, 0));
     KernelRow(rep, "delta_update_gf8", n * k, [&] {
@@ -168,7 +178,6 @@ void RunUpdateAblation(BenchReport& rep) {
     });
   }
   {
-    GroupCoder<GF256> coder(m, k);
     std::vector<Bytes> data;
     std::vector<const Bytes*> ptrs;
     for (uint32_t i = 0; i < m; ++i) data.push_back(MakeBuffer(n, 40 + i));
@@ -183,12 +192,13 @@ void RunMatrixInversion(BenchReport& rep) {
   rep.BeginTable("T3 — decode matrix inversion (GF(2^8), k=3 parity columns)",
                  {"m", "ops", "bytes", "ops/s", "bytes/s"});
   for (uint32_t m : {4u, 8u, 16u}) {
-    GroupCoder<GF256> coder(m, 3);
+    auto p = BuildParityMatrix<GF256>(m, 3);
+    LHRS_CHECK(p.ok()) << p.status();
     Matrix<GF256> a(m, m);
     for (uint32_t t = 0; t < m; ++t) {
       for (uint32_t i = 0; i < m; ++i) {
         if (t < 3) {
-          a.Set(i, t, coder.Coefficient(i, t));
+          a.Set(i, t, p->At(i, t));
         } else {
           a.Set(i, t, i == t ? 1 : 0);
         }

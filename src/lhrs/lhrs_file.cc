@@ -214,7 +214,7 @@ Status LhrsFile::VerifyParityInvariants() const {
         t.values[slot] = rec.value;
       }
     }
-    const ErasureCoder& coder = lhrs_ctx_->coders->ForK(info.k);
+    const parity::ParityCode& coder = lhrs_ctx_->coders->ForK(info.k);
     for (uint32_t j = 0; j < info.k; ++j) {
       const ParityBucketNode* parity = parity_bucket(g, j);
       // Every ground-truth rank must have a parity record, and vice versa.

@@ -86,7 +86,7 @@ MutableParityRecord ParityBucketNode::MutableParityRecordForTest(Rank rank) {
   return rec;
 }
 
-const ErasureCoder& ParityBucketNode::coder() {
+const parity::ParityCode& ParityBucketNode::coder() {
   if (coder_ == nullptr) coder_ = &ctx_->coders->ForK(k_);
   return *coder_;
 }

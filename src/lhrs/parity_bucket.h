@@ -158,7 +158,7 @@ class ParityBucketNode : public Node {
 
   ParityRecordView View(Rank rank) const;
   /// This bucket's parity code, resolved once (codes are immutable).
-  const ErasureCoder& coder();
+  const parity::ParityCode& coder();
   /// Makes `rank` addressable, adding chunks as needed.
   void ExtendSlab(Rank rank);
   /// The last member of `rank` left: checks the parity is zero, resets the
@@ -174,7 +174,7 @@ class ParityBucketNode : public Node {
   uint32_t k_;
   bool initialized_;
   const size_t mask_words_;  ///< Member bitmask words per rank.
-  const ErasureCoder* coder_ = nullptr;
+  const parity::ParityCode* coder_ = nullptr;
 
   /// The column as a rank-indexed slab (DESIGN.md section 10.4): rank r
   /// holds parity record (group, r). Ranks are dense small integers, so

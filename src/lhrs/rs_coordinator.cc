@@ -179,7 +179,7 @@ void RsCoordinatorNode::StartRecovery(uint32_t g) {
   // The group's code plans the repair: which survivors to read, and
   // whether decode may start before every reply. A failed plan means the
   // surviving columns cannot determine the lost ones.
-  const ErasureCoder& code = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& code = lhrs_ctx_->coders->ForK(info.k);
   parity::RepairContext repair_ctx;
   repair_ctx.existing_slots = existing;
   repair_ctx.alive_data = alive_data;
@@ -250,7 +250,7 @@ void RsCoordinatorNode::StartRecovery(uint32_t g) {
     for (uint32_t slot = existing; slot < m; ++slot) {
       known_zero.push_back(slot);
     }
-    task.rank_tracker = code.NewProgressiveDecoder(wanted_data, known_zero);
+    task.rank_tracker = code.NewRankTracker(wanted_data, known_zero);
   }
   for (uint32_t col : plan->read_columns) {
     auto read = std::make_unique<ColumnReadRequestMsg>();
@@ -427,7 +427,7 @@ void RsCoordinatorNode::OnColumnRead(const ColumnReadReplyMsg& reply,
   const bool got_parity = dump.is_parity(lhrs_ctx_->m);
   task.dumps.push_back(std::move(dump));
   if (task.rank_tracker != nullptr) {
-    task.rank_tracker->AddColumn(reply.column, BufferView());
+    task.rank_tracker->AddColumn(reply.column);
     task.have_parity_dump |= got_parity;
     // Progressive decode: reconstruction starts on the earliest reply set
     // whose column identities determine the missing data (the key/length
@@ -778,7 +778,7 @@ void RsCoordinatorNode::StartScrub(uint32_t g, bool repair) {
 void RsCoordinatorNode::FinishScrub(ScrubTask& task) {
   const uint32_t m = lhrs_ctx_->m;
   const GroupInfo& info = groups_[task.group];
-  const ErasureCoder& coder = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& coder = lhrs_ctx_->coders->ForK(info.k);
 
   // Ground truth per rank from the data columns.
   struct Truth {
@@ -956,7 +956,7 @@ void RsCoordinatorNode::StartDegradedRead(
   // repairable code that is the slot's own local parity, whose payload then
   // double-duties as a decode column.
   const uint32_t target_slot = SlotOf(a, lhrs_ctx_->m);
-  const ErasureCoder& code = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& code = lhrs_ctx_->coders->ForK(info.k);
   uint32_t j = info.k;
   for (uint32_t cand : code.ParityPreference(target_slot)) {
     if (!recovering_parity_.contains({g, cand}) &&
@@ -1018,7 +1018,7 @@ void RsCoordinatorNode::ContinueDegradedRead(DegradedReadTask& task) {
   const uint32_t g = task.group;
   const GroupInfo& info = groups_[g];
   const uint32_t existing = ExistingSlots(g);
-  const ErasureCoder& code = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& code = lhrs_ctx_->coders->ForK(info.k);
 
   // A rank tracker over column identities answers "do the columns in hand
   // (or in flight) determine the target slot?". Known-zero columns — slots
@@ -1031,12 +1031,9 @@ void RsCoordinatorNode::ContinueDegradedRead(DegradedReadTask& task) {
     }
   }
   for (uint32_t slot = existing; slot < m; ++slot) known_zero.push_back(slot);
-  auto tracker =
-      code.NewProgressiveDecoder({task.target_slot}, known_zero);
-  for (const auto& [col, payload] : task.columns) {
-    tracker->AddColumn(col, BufferView());
-  }
-  for (uint32_t col : task.awaiting) tracker->AddColumn(col, BufferView());
+  auto tracker = code.NewRankTracker({task.target_slot}, known_zero);
+  for (const auto& [col, payload] : task.columns) tracker->AddColumn(col);
+  for (uint32_t col : task.awaiting) tracker->AddColumn(col);
 
   // Collect candidate columns until the rank suffices, cheapest first:
   // alive member siblings in slot order, then parity columns in the
@@ -1056,7 +1053,7 @@ void RsCoordinatorNode::ContinueDegradedRead(DegradedReadTask& task) {
     const BucketNo b = g * m + slot;
     const NodeId node = ctx_->allocation.Lookup(b);
     if (IsRecoveringData(b) || !NodeUp(node)) continue;
-    if (!tracker->AddColumn(slot, BufferView())) continue;
+    if (!tracker->AddColumn(slot)) continue;
     candidates.push_back({slot, node});
   }
   for (uint32_t j : code.ParityPreference(task.target_slot)) {
@@ -1066,7 +1063,7 @@ void RsCoordinatorNode::ContinueDegradedRead(DegradedReadTask& task) {
         !NodeUp(info.parity_nodes[j])) {
       continue;
     }
-    if (!tracker->AddColumn(m + j, BufferView())) continue;
+    if (!tracker->AddColumn(m + j)) continue;
     candidates.push_back({m + j, info.parity_nodes[j]});
   }
   if (!tracker->Ready()) {
@@ -1159,7 +1156,7 @@ void RsCoordinatorNode::MaybeFinishDegradedRead(DegradedReadTask& task) {
     available.emplace_back(slot, kEmpty);
   }
 
-  const ErasureCoder& coder = lhrs_ctx_->coders->ForK(info.k);
+  const parity::ParityCode& coder = lhrs_ctx_->coders->ForK(info.k);
   auto decoded = coder.DecodeData(available, {task.target_slot});
   if (!decoded.ok()) {
     FailDegradedRead(task, decoded.status());

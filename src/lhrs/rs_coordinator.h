@@ -135,9 +135,9 @@ class RsCoordinatorNode : public CoordinatorNode {
     /// Progressive repair: decode as soon as the received columns' rank
     /// suffices instead of waiting for every requested read.
     bool progressive = false;
-    /// Tracks the rank of the received column set (column ids only; the
-    /// per-rank byte decode happens later in ReconstructColumns).
-    std::unique_ptr<parity::ProgressiveDecoder> rank_tracker;
+    /// Tracks the rank of the received column set (the byte decode happens
+    /// later in ReconstructColumns).
+    std::unique_ptr<parity::RankTracker> rank_tracker;
     bool have_parity_dump = false;  ///< A parity dump (key metadata) arrived.
     // Telemetry timestamps (SimTime; meaningful only when telemetry is on).
     uint64_t started_us = 0;

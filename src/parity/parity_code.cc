@@ -1,6 +1,9 @@
 #include "parity/parity_code.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
@@ -33,11 +36,12 @@ Result<CodeSpec> CodeSpec::Parse(std::string_view name) {
     rest = rest.substr(3);
     uint32_t r = 0;
     for (char c : rest) {
-      if (c < '0' || c > '9') {
+      const uint32_t digit = static_cast<uint32_t>(c - '0');
+      if (c < '0' || c > '9' || r > (UINT32_MAX - digit) / 10) {
         return Status::InvalidArgument("bad LRC locality in code name: " +
                                        std::string(name));
       }
-      r = r * 10 + static_cast<uint32_t>(c - '0');
+      r = r * 10 + digit;
     }
     if (r == 0) {
       return Status::InvalidArgument(
@@ -52,21 +56,49 @@ Result<CodeSpec> CodeSpec::Parse(std::string_view name) {
 
 namespace {
 
+/// One PlanDecode over the available column identities, then one ApplyPlan
+/// per wanted column. Every source is padded to the longest one rounded up
+/// to whole field symbols; empty payloads are known-zero columns and short
+/// ones are zero-padded once.
 template <typename Payload>
 Result<std::vector<Bytes>> DecodeThroughPlan(
     const ParityCode& code,
     const std::vector<std::pair<size_t, Payload>>& available,
     const std::vector<size_t>& missing_data) {
+  std::vector<uint32_t> columns;
+  columns.reserve(available.size());
+  for (const auto& entry : available) {
+    columns.push_back(static_cast<uint32_t>(entry.first));
+  }
   auto plan = code.PlanDecode(
-      ColumnsOf(available),
-      std::vector<uint32_t>(missing_data.begin(), missing_data.end()));
+      columns, std::vector<uint32_t>(missing_data.begin(), missing_data.end()));
   if (!plan.ok()) return plan.status();
-  return DecodeWithPlan(
-      *plan, available, code.PaddedLength(1) /* bytes per symbol */,
-      [&code](const DecodePlan& p, size_t w, const uint8_t* const* srcs,
-              size_t len, uint8_t* dst) {
-        code.ApplyPlan(p, w, srcs, len, dst);
-      });
+
+  size_t len = 0;
+  for (uint32_t pos : plan->sources) {
+    len = std::max(len, available[pos].second.size());
+  }
+  len = code.PaddedLength(len);
+  std::vector<Bytes> padded_storage;
+  std::vector<const uint8_t*> srcs(plan->sources.size(), nullptr);
+  for (size_t t = 0; t < plan->sources.size(); ++t) {
+    const Payload& p = available[plan->sources[t]].second;
+    if (p.empty()) continue;
+    if (p.size() == len) {
+      srcs[t] = p.data();
+    } else {
+      padded_storage.push_back(PadTo(p, len));
+      srcs[t] = padded_storage.back().data();
+    }
+  }
+  std::vector<Bytes> out;
+  out.reserve(plan->wanted.size());
+  for (size_t w = 0; w < plan->wanted.size(); ++w) {
+    Bytes rec(len, 0);
+    code.ApplyPlan(*plan, w, srcs.data(), len, rec.data());
+    out.push_back(std::move(rec));
+  }
+  return out;
 }
 
 template <GaloisField F>
@@ -76,14 +108,8 @@ Result<std::unique_ptr<ParityCode>> MakeTyped(const CodeSpec& spec,
     return Status::InvalidArgument("parity code needs m >= 1 and k >= 1");
   }
   switch (spec.kind) {
-    case CodeKind::kRs: {
-      if (m + k > F::kOrder) {
-        return Status::InvalidArgument(
-            "group size m + availability k exceeds field order");
-      }
-      return std::unique_ptr<ParityCode>(
-          std::make_unique<RsCodeT<F>>(m, k, spec));
-    }
+    case CodeKind::kRs:
+      return RsCodeT<F>::Make(m, k, spec);
     case CodeKind::kLrc:
       return LrcCodeT<F>::Make(m, k, spec);
   }

@@ -69,32 +69,20 @@ struct RepairPlan {
   bool progressive = false;
 };
 
-/// Incremental decoder: accepts survivor columns one at a time and reports
-/// when the accumulated coefficient rank suffices to solve the wanted data
-/// columns. Payload views are shared (zero-copy); all byte work is
-/// deferred to Decode(). Columns may arrive in any order; redundant
-/// columns (linearly dependent on ones already absorbed) are rejected so
-/// `columns_used()` counts only useful survivors.
-class ProgressiveDecoder {
+/// Rank tracker for progressive repair: accepts survivor column
+/// identities one at a time, in any order, and reports when the columns
+/// absorbed so far determine every wanted data column. It never sees a
+/// payload; the decode itself is one PlanDecode over the columns in hand.
+class RankTracker {
  public:
-  virtual ~ProgressiveDecoder() = default;
+  virtual ~RankTracker() = default;
 
-  /// Feeds one survivor column (data in [0, m), parity in [m, m+k)).
-  /// Returns true when the column raised the solvable rank, false when it
-  /// was redundant (its payload is then not retained).
-  virtual bool AddColumn(uint32_t column, BufferView payload) = 0;
+  /// Absorbs one survivor column (data in [0, m), parity in [m, m+k)).
+  /// Returns true when it raised the rank, false when it was redundant.
+  virtual bool AddColumn(uint32_t column) = 0;
 
-  /// True once every wanted data column is solvable from the columns
-  /// absorbed so far.
+  /// True once every wanted data column is determined.
   virtual bool Ready() const = 0;
-
-  /// Number of columns absorbed as useful (pre-seeded known-zero columns
-  /// do not count).
-  virtual size_t columns_used() const = 0;
-
-  /// Solves for the wanted data columns (order of construction). Fails
-  /// with DataLoss while !Ready().
-  virtual Result<std::vector<Bytes>> Decode() const = 0;
 };
 
 /// Scheme-agnostic parity code for one bucket group: m data columns,
@@ -168,11 +156,11 @@ class ParityCode {
   /// ones (the group is lost).
   virtual Result<RepairPlan> PlanRepair(const RepairContext& ctx) const = 0;
 
-  /// Creates an incremental decoder for `wanted_data`, pre-seeded with
-  /// the known-zero data columns.
-  virtual std::unique_ptr<ProgressiveDecoder> NewProgressiveDecoder(
+  /// Creates a rank tracker for `wanted_data`, pre-seeded with the
+  /// known-zero data columns.
+  virtual std::unique_ptr<RankTracker> NewRankTracker(
       std::vector<uint32_t> wanted_data,
-      std::vector<uint32_t> known_zero_data) const = 0;
+      const std::vector<uint32_t>& known_zero_data) const = 0;
 
   /// Rounds a payload length up to a whole number of field symbols.
   virtual size_t PaddedLength(size_t n) const = 0;

@@ -4,54 +4,88 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "parity/linear_decode.h"
+#include "parity/linear_code.h"
 #include "parity/parity_code.h"
-#include "rs/coder.h"
+#include "rs/generator.h"
 
 namespace lhrs::parity {
 
-/// The paper's generalized Reed-Solomon code behind the ParityCode
-/// interface. Every byte-level operation delegates to rs::GroupCoder, so
-/// behavior is identical to the pre-interface code path (the refactor
-/// oracle); only the planning surface is new.
+/// The paper's generalized Reed-Solomon code: the normalised-Cauchy parity
+/// matrix (rs/generator.h) makes the code MDS, so any m of the m + k
+/// columns reconstruct the group and a decode inverts one m x m matrix.
+/// Parity column 0 is all ones: the first parity bucket is a plain XOR.
 template <GaloisField F>
-class RsCodeT final : public ParityCode {
+class RsCodeT final : public LinearCodeT<F> {
  public:
-  RsCodeT(uint32_t m, uint32_t k, CodeSpec spec)
-      : impl_(m, k), spec_(spec) {}
-
-  uint32_t m() const override { return static_cast<uint32_t>(impl_.m()); }
-  uint32_t k() const override { return static_cast<uint32_t>(impl_.k()); }
-  const CodeSpec& spec() const override { return spec_; }
-
-  void ApplyDelta(size_t slot, std::span<const uint8_t> delta,
-                  size_t parity_index, Bytes* parity) const override {
-    impl_.ApplyDelta(slot, delta, parity_index, parity);
+  /// Fails with InvalidArgument on m or k == 0, or m + k beyond the field
+  /// order.
+  static Result<std::unique_ptr<ParityCode>> Make(uint32_t m, uint32_t k,
+                                                  CodeSpec spec) {
+    auto p = BuildParityMatrix<F>(m, k);
+    if (!p.ok()) return p.status();
+    return std::unique_ptr<ParityCode>(
+        new RsCodeT<F>(std::move(p).value(), spec));
   }
 
-  void ApplyDelta(size_t slot, std::span<const uint8_t> delta,
-                  size_t parity_index, BufferView* parity) const override {
-    impl_.ApplyDelta(slot, delta, parity_index, parity);
-  }
-
-  std::vector<Bytes> Encode(
-      std::span<const Bytes* const> data) const override {
-    return impl_.Encode(data);
-  }
-
+  /// Uses exactly m of the available columns, preferring data columns
+  /// (they carry identity rows, keeping the decode matrix mostly trivial),
+  /// and inverts their stacked generator columns once.
   Result<DecodePlan> PlanDecode(
       const std::vector<uint32_t>& columns,
       const std::vector<uint32_t>& wanted) const override {
-    return impl_.PlanDecode(columns, wanted);
-  }
+    const uint32_t m = this->m();
+    if (columns.size() < m) {
+      return Status::DataLoss(
+          "unrecoverable record group: " + std::to_string(columns.size()) +
+          " of " + std::to_string(m) + " required columns available");
+    }
+    for (uint32_t col : wanted) {
+      LHRS_CHECK_LT(col, m) << "only data columns can be requested";
+    }
+    std::vector<uint32_t> use;  // Positions in `columns`.
+    use.reserve(m);
+    for (size_t pos = 0; pos < columns.size() && use.size() < m; ++pos) {
+      if (columns[pos] < m) use.push_back(static_cast<uint32_t>(pos));
+    }
+    for (size_t pos = 0; pos < columns.size() && use.size() < m; ++pos) {
+      if (columns[pos] >= m) use.push_back(static_cast<uint32_t>(pos));
+    }
+    LHRS_CHECK_EQ(use.size(), m);
 
-  void ApplyPlan(const DecodePlan& plan, size_t w,
-                 const uint8_t* const* srcs, size_t len,
-                 uint8_t* dst) const override {
-    ApplyDecodePlan<F>(plan, w, srcs, len, dst);
+    // Codeword relation: value(col) = sum_i d_i * G[i][col] with
+    // G = [I | P]. Stack the m used columns into A (m x m):
+    // A[i][t] = G[i][use[t]]; then d = values * A^{-1}, so wanted column
+    // w reads used column t with coefficient Ainv[t][w].
+    Matrix<F> a(m, m);
+    for (size_t t = 0; t < m; ++t) {
+      const size_t col = columns[use[t]];
+      for (size_t i = 0; i < m; ++i) {
+        if (col < m) {
+          a.Set(i, t, i == col ? 1 : 0);
+        } else {
+          a.Set(i, t, this->Coefficient(i, col - m));
+        }
+      }
+    }
+    auto inv = a.Inverted();
+    if (!inv.ok()) {
+      return Status::Internal("decode matrix singular — MDS violation: " +
+                              inv.status().message());
+    }
+    DecodePlan plan;
+    plan.wanted = wanted;
+    std::vector<uint16_t> rows(wanted.size() * m);
+    for (size_t w = 0; w < wanted.size(); ++w) {
+      for (size_t t = 0; t < m; ++t) {
+        rows[w * m + t] = inv->At(t, wanted[w]);
+      }
+    }
+    CompactDecodePlan(use, rows, &plan);
+    return plan;
   }
 
   bool CanDecodeFrom(
@@ -59,7 +93,7 @@ class RsCodeT final : public ParityCode {
       const std::vector<uint32_t>& wanted_data) const override {
     // MDS: any m distinct columns determine the whole group. A wanted
     // column already in hand is trivially determined.
-    if (columns.size() >= impl_.m()) return true;
+    if (columns.size() >= this->m()) return true;
     return std::all_of(
         wanted_data.begin(), wanted_data.end(), [&](uint32_t w) {
           return std::find(columns.begin(), columns.end(), w) !=
@@ -69,7 +103,7 @@ class RsCodeT final : public ParityCode {
 
   std::vector<uint32_t> ParityPreference(uint32_t data_slot) const override {
     (void)data_slot;  // Any parity column serves any slot equally.
-    std::vector<uint32_t> order(impl_.k());
+    std::vector<uint32_t> order(this->k());
     std::iota(order.begin(), order.end(), 0);
     return order;
   }
@@ -89,7 +123,7 @@ class RsCodeT final : public ParityCode {
     }
 
     RepairPlan plan;
-    plan.progressive = spec_.progressive && missing_has_data;
+    plan.progressive = this->spec().progressive && missing_has_data;
     // Read set: every alive data column (missing parity re-encodes from
     // the full data row), plus enough parity columns for the decode — at
     // least one when data is missing, for the key metadata. Progressive
@@ -109,21 +143,9 @@ class RsCodeT final : public ParityCode {
     return plan;
   }
 
-  std::unique_ptr<ProgressiveDecoder> NewProgressiveDecoder(
-      std::vector<uint32_t> wanted_data,
-      std::vector<uint32_t> known_zero_data) const override {
-    return std::make_unique<ProgressiveDecoderT<F>>(
-        &impl_.parity_matrix(), m(), k(), std::move(wanted_data),
-        std::move(known_zero_data));
-  }
-
-  size_t PaddedLength(size_t n) const override {
-    return impl_.PaddedLength(n);
-  }
-
  private:
-  GroupCoder<F> impl_;
-  CodeSpec spec_;
+  RsCodeT(Matrix<F> parity_matrix, CodeSpec spec)
+      : LinearCodeT<F>(std::move(parity_matrix), spec) {}
 };
 
 }  // namespace lhrs::parity

@@ -1,14 +1,10 @@
 #ifndef LHRS_RS_DECODE_PLAN_H_
 #define LHRS_RS_DECODE_PLAN_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "common/buffer.h"
-#include "common/bytes.h"
 #include "gf/gf.h"
 
 namespace lhrs {
@@ -85,56 +81,6 @@ void ApplyDecodePlan(const DecodePlan& plan, size_t w,
     }
   }
   if (used != 0) F::MulAddRow(dst, batch_srcs, batch_coeffs, used, len);
-}
-
-/// One-shot use of a plan: solves every wanted column from the available
-/// payloads (the list the plan was built for; `Payload` is Bytes or
-/// BufferView), each padded to the longest source rounded up to whole
-/// `symbol_bytes`. Empty payloads are known-zero columns; short ones are
-/// zero-padded once. `apply` computes one row: apply(plan, w, srcs, len,
-/// dst).
-template <typename Payload, typename ApplyRow>
-std::vector<Bytes> DecodeWithPlan(
-    const DecodePlan& plan,
-    const std::vector<std::pair<size_t, Payload>>& available,
-    size_t symbol_bytes, ApplyRow&& apply) {
-  size_t len = 0;
-  for (uint32_t pos : plan.sources) {
-    len = std::max(len, available[pos].second.size());
-  }
-  len = (len + symbol_bytes - 1) / symbol_bytes * symbol_bytes;
-  std::vector<Bytes> padded_storage;
-  std::vector<const uint8_t*> srcs(plan.sources.size(), nullptr);
-  for (size_t t = 0; t < plan.sources.size(); ++t) {
-    const Payload& p = available[plan.sources[t]].second;
-    if (p.empty()) continue;
-    if (p.size() == len) {
-      srcs[t] = p.data();
-    } else {
-      padded_storage.push_back(PadTo(p, len));
-      srcs[t] = padded_storage.back().data();
-    }
-  }
-  std::vector<Bytes> out;
-  out.reserve(plan.wanted.size());
-  for (size_t w = 0; w < plan.wanted.size(); ++w) {
-    Bytes rec(len, 0);
-    apply(plan, w, srcs.data(), len, rec.data());
-    out.push_back(std::move(rec));
-  }
-  return out;
-}
-
-/// The column identities of an available list, for PlanDecode.
-template <typename Payload>
-std::vector<uint32_t> ColumnsOf(
-    const std::vector<std::pair<size_t, Payload>>& available) {
-  std::vector<uint32_t> columns;
-  columns.reserve(available.size());
-  for (const auto& entry : available) {
-    columns.push_back(static_cast<uint32_t>(entry.first));
-  }
-  return columns;
 }
 
 }  // namespace lhrs

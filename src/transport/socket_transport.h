@@ -14,7 +14,6 @@
 #include "net/dedup.h"
 #include "net/message.h"
 #include "telemetry/telemetry.h"
-#include "transport/transport.h"
 #include "transport/wire.h"
 
 namespace lhrs::transport {
@@ -63,8 +62,8 @@ struct SocketTransportStats {
   uint64_t decode_failures = 0;   ///< Malformed frames rejected.
 };
 
-/// Real-socket Transport: one non-blocking UDP socket plus one TCP
-/// listener per process.
+/// Real-socket delivery backend of cluster mode: one non-blocking UDP
+/// socket plus one TCP listener per process.
 ///
 /// UDP frames carry a fixed header (magic, version, frame type, sequence
 /// number, from/to NodeIds, message kind, payload length) followed by the
@@ -83,7 +82,7 @@ struct SocketTransportStats {
 ///
 /// Single-threaded: Send and Pump must be called from one thread (the
 /// cluster runtime's pump loop).
-class SocketTransport : public Transport {
+class SocketTransport {
  public:
   /// Delivery callback: returns true to accept (and ack) the message,
   /// false to drop it without acking (destination crashed here — the
@@ -102,7 +101,7 @@ class SocketTransport : public Transport {
   using RankFn = std::function<int(NodeId)>;
 
   explicit SocketTransport(SocketTransportOptions options = {});
-  ~SocketTransport() override;
+  ~SocketTransport();
 
   /// Binds the UDP socket and TCP listener; fills local().
   Status Open();
@@ -130,12 +129,17 @@ class SocketTransport : public Transport {
   /// histogram. Not owned.
   void AttachTelemetry(telemetry::Telemetry* telemetry);
 
-  // Transport:
-  void Send(NodeId from, NodeId to,
-            std::unique_ptr<MessageBody> body) override;
-  size_t Pump(int timeout_ms) override;
-  bool Quiescent() const override;
-  const char* name() const override { return "udp"; }
+  /// Queues one message for delivery. Ownership of the body transfers.
+  void Send(NodeId from, NodeId to, std::unique_ptr<MessageBody> body);
+
+  /// Polls the sockets for up to `timeout_ms`. Returns the number of
+  /// messages delivered to local nodes during the call.
+  size_t Pump(int timeout_ms);
+
+  /// True when nothing is in flight (no pending acks, empty queues).
+  bool Quiescent() const;
+
+  const char* name() const { return "udp"; }
 
   const SocketTransportStats& stats() const { return stats_; }
 

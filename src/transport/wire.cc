@@ -220,7 +220,6 @@ void RegisterAllWireCodecs() {
   static const bool once = [] {
     RegisterLhStarWire();
     RegisterLhrsWire();
-    RegisterBaselinesWire();
     return true;
   }();
   (void)once;

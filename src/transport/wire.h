@@ -122,7 +122,6 @@ std::vector<int> RegisteredWireKinds();
 /// Per-layer registration hooks (each idempotent).
 void RegisterLhStarWire();
 void RegisterLhrsWire();
-void RegisterBaselinesWire();
 
 /// Registers every layer's codecs (idempotent); call once at startup.
 void RegisterAllWireCodecs();

@@ -58,7 +58,7 @@ class Model {
     BufferView parity;
   };
 
-  Model(uint32_t m, const ErasureCoder& coder) : m_(m), coder_(coder) {}
+  Model(uint32_t m, const parity::ParityCode& coder) : m_(m), coder_(coder) {}
 
   void Apply(const ParityDelta& d) {
     if (TryApply(d)) {
@@ -153,7 +153,7 @@ class Model {
   }
 
   const uint32_t m_;
-  const ErasureCoder& coder_;
+  const parity::ParityCode& coder_;
   std::map<Rank, Record> records_;
   std::vector<ParityDelta> pending_;
 };

@@ -25,7 +25,7 @@ struct Fixture {
       : m(m_in), k(k_in), coders(m_in, field) {
     Rng rng(seed);
     values.resize(m);
-    const ErasureCoder& coder = coders.ForK(k);
+    const parity::ParityCode& coder = coders.ForK(k);
     // Three record groups (ranks 1..3) with varying occupancy.
     std::vector<std::vector<Bytes>> per_rank(3,
                                              std::vector<Bytes>(m));

@@ -51,7 +51,7 @@ struct Group {
   std::vector<ColumnDump> dumps;  // Column c at index c (data, then parity).
 };
 
-Group MakeGroup(const ErasureCoder& code, uint32_t existing, Rng& rng) {
+Group MakeGroup(const parity::ParityCode& code, uint32_t existing, Rng& rng) {
   Group g;
   g.m = code.m();
   g.k = code.k();
@@ -250,7 +250,7 @@ TEST_P(RecoveryPlanTest, MatchesPerRankReference) {
   const uint32_t k = static_cast<uint32_t>(ParityCount(code_name, m));
   auto made = parity::MakeParityCode(*spec, m, k, field);
   ASSERT_TRUE(made.ok()) << made.status();
-  const ErasureCoder& code = **made;
+  const parity::ParityCode& code = **made;
   Rng rng(0x91a7 + m * 31 + static_cast<uint64_t>(field) * 7 +
           code_name.size());
 
@@ -352,7 +352,7 @@ TEST(RecoveryPlanDeathTest, CorruptParityPastShortMemberTripsPaddingCheck) {
   auto made = parity::MakeParityCode(parity::CodeSpec{}, 4, 2,
                                      FieldChoice::kGf256);
   ASSERT_TRUE(made.ok());
-  const ErasureCoder& code = **made;
+  const parity::ParityCode& code = **made;
   Rng rng(77);
   const std::vector<Bytes> values = {rng.RandomBytes(10), rng.RandomBytes(40),
                                      rng.RandomBytes(25), rng.RandomBytes(3)};

@@ -1,6 +1,7 @@
-// Unit and property tests for the Reed-Solomon layer: matrix algebra, the
-// normalised-Cauchy generator matrix (MDS property), and the group coder
-// (encode, incremental delta updates, erasure decode).
+// Unit and property tests for the parity layer: matrix algebra, the
+// normalised-Cauchy generator matrix (MDS property), and the RS and LRC
+// parity codes (encode, incremental delta updates, erasure decode, rank
+// tracking, pinned parity bytes).
 
 #include <algorithm>
 #include <bit>
@@ -15,7 +16,6 @@
 #include "gf/gf256.h"
 #include "gf/gf65536.h"
 #include "parity/parity_code.h"
-#include "rs/coder.h"
 #include "rs/generator.h"
 #include "rs/matrix.h"
 
@@ -138,7 +138,29 @@ TEST(GeneratorTest, NaiveVandermondeFailsMdsForLargeGroups) {
 }
 
 // ---------------------------------------------------------------------------
-// GroupCoder tests.
+// Parity code tests, typed over both fields: RS encode/decode/delta, the MDS
+// any-m-subset property over random geometries, rank tracking for
+// progressive repair, and the LRC code.
+
+template <typename F>
+FieldChoice FieldChoiceOf();
+template <>
+FieldChoice FieldChoiceOf<GF256>() {
+  return FieldChoice::kGf256;
+}
+template <>
+FieldChoice FieldChoiceOf<GF65536>() {
+  return FieldChoice::kGf65536;
+}
+
+std::unique_ptr<parity::ParityCode> MakeCode(const char* name, uint32_t m,
+                                             uint32_t k, FieldChoice field) {
+  auto spec = parity::CodeSpec::Parse(name);
+  LHRS_CHECK(spec.ok());
+  auto code = parity::MakeParityCode(*spec, m, k, field);
+  LHRS_CHECK(code.ok());
+  return std::move(code).value();
+}
 
 template <typename F>
 class GroupCoderTest : public ::testing::Test {};
@@ -148,7 +170,8 @@ TYPED_TEST_SUITE(GroupCoderTest, CoderFields);
 
 TYPED_TEST(GroupCoderTest, EncodeDecodeRoundTripAllErasurePatterns) {
   const uint32_t m = 4, k = 2;
-  GroupCoder<TypeParam> coder(m, k);
+  const auto code = MakeCode("rs", m, k, FieldChoiceOf<TypeParam>());
+  const parity::ParityCode& coder = *code;
   Rng rng(211);
 
   // Variable-length member payloads, one slot empty.
@@ -190,17 +213,18 @@ TYPED_TEST(GroupCoderTest, EncodeDecodeRoundTripAllErasurePatterns) {
 }
 
 TYPED_TEST(GroupCoderTest, TooFewColumnsIsDataLoss) {
-  GroupCoder<TypeParam> coder(4, 2);
+  const auto code = MakeCode("rs", 4, 2, FieldChoiceOf<TypeParam>());
   std::vector<std::pair<size_t, Bytes>> available = {
       {0, Bytes{1, 2}}, {1, Bytes{3, 4}}, {2, Bytes{5, 6}}};
-  auto decoded = coder.DecodeData(available, {3});
+  auto decoded = code->DecodeData(available, {3});
   EXPECT_FALSE(decoded.ok());
   EXPECT_TRUE(decoded.status().IsDataLoss());
 }
 
 TYPED_TEST(GroupCoderTest, DeltaUpdatesMatchFullReencode) {
   const uint32_t m = 4, k = 3;
-  GroupCoder<TypeParam> coder(m, k);
+  const auto code = MakeCode("rs", m, k, FieldChoiceOf<TypeParam>());
+  const parity::ParityCode& coder = *code;
   Rng rng(223);
 
   std::vector<Bytes> data(m);
@@ -253,13 +277,13 @@ TYPED_TEST(GroupCoderTest, DeltaUpdatesMatchFullReencode) {
 
 TYPED_TEST(GroupCoderTest, ParityColumnZeroIsPlainXor) {
   const uint32_t m = 4;
-  GroupCoder<TypeParam> coder(m, 2);
+  const auto code = MakeCode("rs", m, 2, FieldChoiceOf<TypeParam>());
   Rng rng(227);
   std::vector<Bytes> data(m);
   for (auto& d : data) d = rng.RandomBytes(32);
   std::vector<const Bytes*> ptrs;
   for (auto& d : data) ptrs.push_back(&d);
-  std::vector<Bytes> parity = coder.Encode(ptrs);
+  std::vector<Bytes> parity = code->Encode(ptrs);
 
   Bytes expected(32, 0);
   for (const auto& d : data) {
@@ -273,63 +297,37 @@ TYPED_TEST(GroupCoderTest, SingleMemberGroupDecodesFromParityAlone) {
   // other buckets fail" case: decode from k parity columns + m-1 known
   // zeros.
   const uint32_t m = 4, k = 1;
-  GroupCoder<TypeParam> coder(m, k);
+  const auto code = MakeCode("rs", m, k, FieldChoiceOf<TypeParam>());
   Bytes value = BytesFromString("lonely record");
   std::vector<const Bytes*> ptrs = {nullptr, &value, nullptr, nullptr};
-  std::vector<Bytes> parity = coder.Encode(ptrs);
+  std::vector<Bytes> parity = code->Encode(ptrs);
 
   std::vector<std::pair<size_t, Bytes>> available = {
       {0, {}}, {2, {}}, {3, {}}, {4, parity[0]}};
-  auto decoded = coder.DecodeData(available, {1});
+  auto decoded = code->DecodeData(available, {1});
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ((*decoded)[0], PadTo(value, (*decoded)[0].size()));
 }
 
 TEST(GroupCoderTest65536, PadsOddLengthsToWholeSymbols) {
-  GroupCoder<GF65536> coder(2, 1);
+  const auto code = MakeCode("rs", 2, 1, FieldChoice::kGf65536);
   Bytes odd = {0xAB, 0xCD, 0xEF};  // 3 bytes -> padded to 4.
   std::vector<const Bytes*> ptrs = {&odd, nullptr};
-  std::vector<Bytes> parity = coder.Encode(ptrs);
+  std::vector<Bytes> parity = code->Encode(ptrs);
   ASSERT_EQ(parity[0].size(), 4u);
   EXPECT_EQ(parity[0][0], 0xAB);
   EXPECT_EQ(parity[0][3], 0x00);
 }
 
-// ---------------------------------------------------------------------------
-// ParityCode interface tests: the RsCode oracle, the MDS any-m-subset
-// property over random geometries, progressive decoding, and the LRC code.
-
-template <typename F>
-FieldChoice FieldChoiceOf();
-template <>
-FieldChoice FieldChoiceOf<GF256>() {
-  return FieldChoice::kGf256;
-}
-template <>
-FieldChoice FieldChoiceOf<GF65536>() {
-  return FieldChoice::kGf65536;
-}
-
-std::unique_ptr<parity::ParityCode> MakeCode(const char* name, uint32_t m,
-                                             uint32_t k, FieldChoice field) {
-  auto spec = parity::CodeSpec::Parse(name);
-  LHRS_CHECK(spec.ok());
-  auto code = parity::MakeParityCode(*spec, m, k, field);
-  LHRS_CHECK(code.ok());
-  return std::move(code).value();
-}
-
 // The MDS property, end to end: for random (m, k) geometries and random
 // variable-length payloads, EVERY m-subset of the m + k codeword columns
-// reconstructs every data column — through both the legacy GroupCoder and
-// the interface-built RsCode, which must agree byte for byte.
+// reconstructs every data column byte for byte.
 TYPED_TEST(GroupCoderTest, AnyMSubsetReconstructsRandomGeometry) {
   Rng rng(811);
   for (int trial = 0; trial < 6; ++trial) {
     const uint32_t m = 1 + static_cast<uint32_t>(rng.Uniform(7));
     const uint32_t k = 1 + static_cast<uint32_t>(rng.Uniform(3));
     const uint32_t n = m + k;  // <= 10, so subsets enumerate exhaustively.
-    GroupCoder<TypeParam> coder(m, k);
     auto code = MakeCode("rs", m, k, FieldChoiceOf<TypeParam>());
 
     std::vector<Bytes> data(m);
@@ -338,9 +336,7 @@ TYPED_TEST(GroupCoderTest, AnyMSubsetReconstructsRandomGeometry) {
       data[i] = rng.RandomBytes(rng.Uniform(25));  // May be empty.
       ptrs[i] = data[i].empty() ? nullptr : &data[i];
     }
-    std::vector<Bytes> parity = coder.Encode(ptrs);
-    ASSERT_EQ(code->Encode(ptrs), parity)
-        << "RsCode must be byte-identical to GroupCoder";
+    std::vector<Bytes> parity = code->Encode(ptrs);
 
     for (uint32_t mask = 0; mask < (1u << n); ++mask) {
       if (std::popcount(mask) != static_cast<int>(m)) continue;
@@ -363,9 +359,6 @@ TYPED_TEST(GroupCoderTest, AnyMSubsetReconstructsRandomGeometry) {
       ASSERT_TRUE(decoded.ok())
           << "m=" << m << " k=" << k << " mask=" << mask << ": "
           << decoded.status();
-      auto legacy = coder.DecodeData(available, wanted);
-      ASSERT_TRUE(legacy.ok());
-      EXPECT_EQ(*decoded, *legacy) << "interface and legacy decode differ";
       for (size_t i = 0; i < wanted.size(); ++i) {
         EXPECT_EQ((*decoded)[i], PadTo(data[wanted[i]], (*decoded)[i].size()))
             << "m=" << m << " k=" << k << " mask=" << mask << " slot "
@@ -374,6 +367,10 @@ TYPED_TEST(GroupCoderTest, AnyMSubsetReconstructsRandomGeometry) {
     }
   }
 }
+
+// The progressive-repair cases check two things over the same columns: the
+// rank tracker's AddColumn/Ready answers (column identities only), and the
+// bytes that DecodeData returns from exactly those columns.
 
 TYPED_TEST(GroupCoderTest, ProgressiveDecoderFinishesEarly) {
   const uint32_t m = 4, k = 2;
@@ -388,19 +385,20 @@ TYPED_TEST(GroupCoderTest, ProgressiveDecoderFinishesEarly) {
   // Slot 1 lost; slots 2 and 3 never existed (known zero). Rank m is
   // reached after only two survivor columns even though two parity
   // columns are also alive.
-  auto dec = code->NewProgressiveDecoder({1}, {2, 3});
-  EXPECT_FALSE(dec->Ready());
-  EXPECT_TRUE(dec->AddColumn(0, BufferView(data[0])));
-  EXPECT_FALSE(dec->Ready());
-  EXPECT_TRUE(dec->AddColumn(m + 0, BufferView(parity[0])));
-  EXPECT_TRUE(dec->Ready());
-  EXPECT_EQ(dec->columns_used(), 2u);
+  auto tracker = code->NewRankTracker({1}, {2, 3});
+  EXPECT_FALSE(tracker->Ready());
+  EXPECT_TRUE(tracker->AddColumn(0));
+  EXPECT_FALSE(tracker->Ready());
+  EXPECT_TRUE(tracker->AddColumn(m + 0));
+  EXPECT_TRUE(tracker->Ready());
 
   // Surplus survivors past full rank are redundant and must be rejected.
-  EXPECT_FALSE(dec->AddColumn(m + 1, BufferView(parity[1])));
-  EXPECT_EQ(dec->columns_used(), 2u);
+  EXPECT_FALSE(tracker->AddColumn(m + 1));
 
-  auto decoded = dec->Decode();
+  // The two useful survivors plus the known-zero slots decode the slot.
+  std::vector<std::pair<size_t, Bytes>> available = {
+      {0, data[0]}, {m + 0, parity[0]}, {2, {}}, {3, {}}};
+  auto decoded = code->DecodeData(available, {1});
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_EQ(decoded->size(), 1u);
   EXPECT_EQ((*decoded)[0], PadTo(data[1], (*decoded)[0].size()));
@@ -419,15 +417,18 @@ TYPED_TEST(GroupCoderTest, ProgressiveDecoderAcceptsColumnsOutOfOrder) {
   std::vector<Bytes> parity = code->Encode(ptrs);
 
   // All parity first, then one data column: any arrival order works.
-  auto dec = code->NewProgressiveDecoder({0, 2}, {});
-  EXPECT_TRUE(dec->AddColumn(m + 2, BufferView(parity[2])));
-  EXPECT_TRUE(dec->AddColumn(m + 0, BufferView(parity[0])));
-  EXPECT_TRUE(dec->AddColumn(m + 1, BufferView(parity[1])));
-  EXPECT_FALSE(dec->Ready()) << "rank 3 of 4 cannot solve yet";
-  EXPECT_TRUE(dec->AddColumn(3, BufferView(data[3])));
-  EXPECT_TRUE(dec->Ready());
+  auto tracker = code->NewRankTracker({0, 2}, {});
+  EXPECT_TRUE(tracker->AddColumn(m + 2));
+  EXPECT_TRUE(tracker->AddColumn(m + 0));
+  EXPECT_TRUE(tracker->AddColumn(m + 1));
+  EXPECT_FALSE(tracker->Ready()) << "rank 3 of 4 cannot solve yet";
+  EXPECT_TRUE(tracker->AddColumn(3));
+  EXPECT_TRUE(tracker->Ready());
 
-  auto decoded = dec->Decode();
+  std::vector<std::pair<size_t, Bytes>> available = {
+      {m + 2, parity[2]}, {m + 0, parity[0]}, {m + 1, parity[1]},
+      {3, data[3]}};
+  auto decoded = code->DecodeData(available, {0, 2});
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_EQ(decoded->size(), 2u);
   EXPECT_EQ((*decoded)[0], PadTo(data[0], (*decoded)[0].size()));
@@ -446,20 +447,26 @@ TYPED_TEST(GroupCoderTest, ProgressiveDecoderInsufficientRankIsDataLoss) {
   }
   std::vector<Bytes> parity = code->Encode(ptrs);
 
-  auto dec = code->NewProgressiveDecoder({0, 1}, {});
-  EXPECT_TRUE(dec->AddColumn(2, BufferView(data[2])));
-  EXPECT_TRUE(dec->AddColumn(3, BufferView(data[3])));
-  EXPECT_TRUE(dec->AddColumn(m + 0, BufferView(parity[0])));
-  EXPECT_FALSE(dec->Ready()) << "three columns cannot solve two unknowns + "
-                                "two knowns over rank four";
-  auto decoded = dec->Decode();
+  auto tracker = code->NewRankTracker({0, 1}, {});
+  EXPECT_TRUE(tracker->AddColumn(2));
+  EXPECT_TRUE(tracker->AddColumn(3));
+  EXPECT_TRUE(tracker->AddColumn(m + 0));
+  EXPECT_FALSE(tracker->Ready()) << "three columns cannot solve two "
+                                    "unknowns + two knowns over rank four";
+  std::vector<std::pair<size_t, Bytes>> available = {
+      {2, data[2]}, {3, data[3]}, {m + 0, parity[0]}};
+  auto decoded = code->DecodeData(available, {0, 1});
   ASSERT_FALSE(decoded.ok());
   EXPECT_TRUE(decoded.status().IsDataLoss());
 
   // The missing fourth column completes the rank.
-  EXPECT_TRUE(dec->AddColumn(m + 1, BufferView(parity[1])));
-  EXPECT_TRUE(dec->Ready());
-  EXPECT_TRUE(dec->Decode().ok());
+  EXPECT_TRUE(tracker->AddColumn(m + 1));
+  EXPECT_TRUE(tracker->Ready());
+  available.emplace_back(m + 1, parity[1]);
+  decoded = code->DecodeData(available, {0, 1});
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ((*decoded)[0], PadTo(data[0], (*decoded)[0].size()));
+  EXPECT_EQ((*decoded)[1], PadTo(data[1], (*decoded)[1].size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -569,16 +576,130 @@ TYPED_TEST(GroupCoderTest, LrcProgressiveDecoderStopsAtLocalGroup) {
 
   // Rebuilding slot 2 needs only its sibling and the group-1 local parity:
   // Ready() fires after two columns even though full rank would need four.
-  auto dec = code->NewProgressiveDecoder({2}, {});
-  EXPECT_TRUE(dec->AddColumn(3, BufferView(data[3])));
-  EXPECT_FALSE(dec->Ready());
-  EXPECT_TRUE(dec->AddColumn(4 + 1, BufferView(parity[1])));
-  EXPECT_TRUE(dec->Ready());
-  EXPECT_EQ(dec->columns_used(), 2u);
+  auto tracker = code->NewRankTracker({2}, {});
+  EXPECT_TRUE(tracker->AddColumn(3));
+  EXPECT_FALSE(tracker->Ready());
+  EXPECT_TRUE(tracker->AddColumn(4 + 1));
+  EXPECT_TRUE(tracker->Ready());
 
-  auto decoded = dec->Decode();
+  // The decode reads exactly those two columns.
+  auto plan = code->PlanDecode({3, 4 + 1}, {2});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->sources.size(), 2u);
+  std::vector<std::pair<size_t, Bytes>> available = {{3, data[3]},
+                                                     {4 + 1, parity[1]}};
+  auto decoded = code->DecodeData(available, {2});
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ((*decoded)[0], PadTo(data[2], (*decoded)[0].size()));
+}
+
+// ---------------------------------------------------------------------------
+// Golden parity digests: fixed-seed groups over {rs, lrc2} x {GF(2^8),
+// GF(2^16)} x m in {4, 70}, with odd-length, empty and absent members. Each
+// row pins FNV-1a digests of (1) the Encode output, (2) the parity built by
+// ApplyDelta alone and (3) one DecodeData result, so any change to the bytes
+// the parity layer produces fails here, whatever the code path behind it.
+
+uint64_t FoldDigest(uint64_t h, const Bytes& b) {
+  constexpr uint64_t kPrime = 1099511628211ULL;
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ static_cast<uint8_t>(b.size() >> (8 * i))) * kPrime;
+  }
+  for (uint8_t byte : b) h = (h ^ byte) * kPrime;
+  return h;
+}
+
+struct GoldenDigests {
+  uint64_t encode = 1469598103934665603ULL;
+  uint64_t delta = 1469598103934665603ULL;
+  uint64_t decode = 1469598103934665603ULL;
+  friend bool operator==(const GoldenDigests&,
+                         const GoldenDigests&) = default;
+};
+
+GoldenDigests DigestGroup(const parity::ParityCode& code, uint64_t seed) {
+  const uint32_t m = code.m(), k = code.k();
+  Rng rng(seed);
+  std::vector<Bytes> data(m);
+  std::vector<const Bytes*> ptrs(m);
+  for (uint32_t i = 0; i < m; ++i) {
+    switch (i % 5) {
+      case 2:  // Present but empty.
+        break;
+      case 3:  // Absent member: never encoded, known zero on decode.
+        continue;
+      case 1:  // Odd length: a half symbol of padding under GF(2^16).
+        data[i] = rng.RandomBytes(1 + 2 * rng.Uniform(24));
+        break;
+      default:
+        data[i] = rng.RandomBytes(rng.Uniform(48));
+    }
+    ptrs[i] = &data[i];
+  }
+  GoldenDigests d;
+
+  const std::vector<Bytes> parity = code.Encode(ptrs);
+  for (const Bytes& p : parity) d.encode = FoldDigest(d.encode, p);
+
+  // Parity from deltas alone: insert every member, then overwrite slot 0
+  // (delta = old XOR new).
+  std::vector<Bytes> built(k);
+  for (uint32_t i = 0; i < m; ++i) {
+    for (uint32_t j = 0; j < k; ++j) code.ApplyDelta(i, data[i], j, &built[j]);
+  }
+  Bytes delta = data[0];
+  XorAssignPadded(delta, rng.RandomBytes(31));
+  for (uint32_t j = 0; j < k; ++j) code.ApplyDelta(0, delta, j, &built[j]);
+  for (const Bytes& p : built) d.delta = FoldDigest(d.delta, p);
+
+  // Decode data slots 0 and 1 from every other column.
+  std::vector<std::pair<size_t, Bytes>> available;
+  for (uint32_t col = 2; col < m + k; ++col) {
+    available.emplace_back(col, col < m ? data[col] : parity[col - m]);
+  }
+  auto decoded = code.DecodeData(available, {0, 1});
+  LHRS_CHECK(decoded.ok()) << decoded.status();
+  for (const Bytes& b : *decoded) d.decode = FoldDigest(d.decode, b);
+  return d;
+}
+
+TEST(ParityCodeGoldenTest, EncodeDeltaAndDecodeBytesArePinned) {
+  struct Row {
+    const char* code;
+    FieldChoice field;
+    uint32_t m;
+    uint32_t k;
+    GoldenDigests want;
+  };
+  constexpr FieldChoice k8 = FieldChoice::kGf256;
+  constexpr FieldChoice k16 = FieldChoice::kGf65536;
+  // lrc2 needs one local parity per slot pair: k = m/2 locals + globals.
+  const Row rows[] = {
+      {"rs", k8, 4, 3,
+       {0x506c335711e32df2ULL, 0x90986d45e624afd0ULL, 0x9b159755a76287c7ULL}},
+      {"rs", k8, 70, 3,
+       {0xf81381e925c450bcULL, 0x803c0cd5b2be4c70ULL, 0x544cd74baeb95d68ULL}},
+      {"rs", k16, 4, 3,
+       {0x7ca337c60d368b69ULL, 0xb904711321757a07ULL, 0x02b026d71a985461ULL}},
+      {"rs", k16, 70, 3,
+       {0x8a371a58d252e5a5ULL, 0xa940b1e51e8a2809ULL, 0xa14aee2e3e8f584aULL}},
+      {"lrc2", k8, 4, 3,
+       {0x3e0bc248d8fd4e39ULL, 0xb1bc510fabceaac2ULL, 0x9b159755a76287c7ULL}},
+      {"lrc2", k8, 70, 37,
+       {0xe40852540761f18eULL, 0x81c1b4059e7888ebULL, 0x544cd74baeb95d68ULL}},
+      {"lrc2", k16, 4, 3,
+       {0x27f23b7278fb7184ULL, 0x79928ad38a48a34cULL, 0x02b026d71a985461ULL}},
+      {"lrc2", k16, 70, 37,
+       {0x727252f3135b8261ULL, 0x0da165dc22885a11ULL, 0xa14aee2e3e8f584aULL}},
+  };
+  for (const Row& row : rows) {
+    auto code = MakeCode(row.code, row.m, row.k, row.field);
+    const GoldenDigests got = DigestGroup(*code, 1000 + row.m);
+    EXPECT_EQ(got, row.want)
+        << row.code << " " << FieldChoiceName(row.field) << " m=" << row.m
+        << ": {0x" << std::hex << got.encode << "ULL, 0x" << got.delta
+        << "ULL, 0x" << got.decode << "ULL}";
+  }
 }
 
 TEST(CodeSpecTest, NameParseRoundTrips) {
@@ -590,6 +711,12 @@ TEST(CodeSpecTest, NameParseRoundTrips) {
   EXPECT_FALSE(parity::CodeSpec::Parse("raid5").ok());
   EXPECT_FALSE(parity::CodeSpec::Parse("lrc").ok());
   EXPECT_FALSE(parity::CodeSpec::Parse("lrcx").ok());
+  // Localities that overflow 32 bits are rejected, not wrapped.
+  EXPECT_FALSE(parity::CodeSpec::Parse("lrc4294967298").ok());
+  EXPECT_FALSE(parity::CodeSpec::Parse("lrc99999999999999999999").ok());
+  auto widest = parity::CodeSpec::Parse("lrc4294967295");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest->locality, 4294967295u);
 }
 
 TEST(CodeSpecTest, MakeParityCodeRejectsBadGeometry) {

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/workload.h"
 #include "baselines/lhm/lhm_file.h"
 #include "baselines/lhs/lhs_file.h"
 #include "chaos/chaos.h"
@@ -21,6 +20,7 @@
 #include "lhrs/lhrs_file.h"
 #include "lhstar/lhstar_file.h"
 #include "sdds/session.h"
+#include "workload/generator.h"
 
 namespace lhrs {
 namespace {
@@ -276,20 +276,142 @@ TEST(PipelinedRunnerTest, StripedFileServesDegradedReadsPipelined) {
   EXPECT_EQ(verified, searches.size());
 }
 
+/// What RunMixed saw besides the runner's own report.
+struct MixedRun {
+  RunnerReport report;
+  std::set<Key> resident;  ///< Keys the run leaves in the file.
+  std::set<Key> deleted;   ///< Keys a delete was sent for.
+  std::set<Key> phantoms;  ///< Searched keys that were never inserted.
+  uint64_t deletes = 0;
+  uint64_t inserts_landed = 0;
+  uint64_t phantom_misses = 0;  ///< Phantom searches that came back NotFound.
+  uint64_t raced_misses = 0;    ///< NotFound on a key a delete was sent for.
+  /// Inserts answered AlreadyExists although the key is fresh: a request
+  /// duplicated in flight, one copy applied, the other copy's answer taken.
+  uint64_t duplicate_answers = 0;
+  uint64_t wrong = 0;           ///< Outcomes that no interleaving explains.
+  uint64_t outcome_digest = workload::kFnvOffsetBasis;
+};
+
+/// Preloads the generator's keyspace into `file`, then drives its
+/// per-session streams through the pipelined runner with deletes and
+/// phantom searches mixed in: each op is, with probability 5 %, swapped
+/// for a delete of a resident key, and 10 % of the other searches look up
+/// a fresh random key instead. Deletes race the searches and updates the
+/// streams still send for that key, so a NotFound is expected exactly for
+/// keys a delete was sent for and for phantoms; an OK phantom read, a
+/// failed delete or insert, or a NotFound on any other key counts as
+/// `wrong`. An insert of a fresh key answered AlreadyExists landed all the
+/// same: it stays resident and counts as a duplicate answer.
+MixedRun RunMixed(sdds::SddsFile& file,
+                  const workload::GeneratorOptions& gen_opts,
+                  const RunnerOptions& runner_opts) {
+  constexpr double kDeleteFraction = 0.05;
+  constexpr double kPhantomFraction = 0.10;
+  MixedRun run;
+  workload::WorkloadGenerator gen(gen_opts);
+  Rng rng(gen_opts.seed);
+  for (Key k : gen.preload_keys()) {
+    EXPECT_TRUE(file.Insert(k, rng.RandomBytes(gen_opts.value_bytes)).ok());
+    run.resident.insert(k);
+  }
+  // Resident keys no delete has been sent for yet, in a deterministic
+  // order: the source runs in completion order on the event loop.
+  std::vector<Key> deletable(gen.preload_keys());
+  auto source = [&](size_t session) -> std::optional<SddsOp> {
+    std::optional<SddsOp> op = gen.Next(session);
+    if (!op.has_value()) return op;
+    if (!deletable.empty() && rng.Flip(kDeleteFraction)) {
+      const size_t at = static_cast<size_t>(rng.Uniform(deletable.size()));
+      const Key key = deletable[at];
+      deletable[at] = deletable.back();
+      deletable.pop_back();
+      run.deleted.insert(key);
+      ++run.deletes;
+      return SddsOp{OpType::kDelete, key, {}};
+    }
+    if (op->op == OpType::kSearch && rng.Flip(kPhantomFraction)) {
+      op->key = rng.Next64();
+      run.phantoms.insert(op->key);
+    }
+    return op;
+  };
+  auto on_complete = [&](size_t, const SddsOp& op, const OpOutcome& out) {
+    run.outcome_digest = workload::DigestOp(run.outcome_digest, op);
+    run.outcome_digest = (run.outcome_digest ^
+                          static_cast<uint64_t>(out.status.code())) *
+                         1099511628211ULL;
+    const bool not_found = out.status.IsNotFound();
+    switch (op.op) {
+      case OpType::kInsert:
+        if (out.status.IsAlreadyExists()) {
+          ++run.duplicate_answers;
+        } else if (!out.status.ok()) {
+          ++run.wrong;
+          return;
+        }
+        run.resident.insert(op.key);
+        deletable.push_back(op.key);
+        ++run.inserts_landed;
+        return;
+      case OpType::kDelete:
+        if (!out.status.ok()) {
+          ++run.wrong;
+          return;
+        }
+        run.resident.erase(op.key);
+        return;
+      case OpType::kSearch:
+        if (run.phantoms.count(op.key) > 0) {
+          if (not_found) ++run.phantom_misses;
+          else ++run.wrong;  // Phantom read.
+          return;
+        }
+        [[fallthrough]];
+      default:
+        if (out.status.ok()) return;
+        if (not_found && run.deleted.count(op.key) > 0) ++run.raced_misses;
+        else ++run.wrong;
+    }
+  };
+  PipelinedRunner runner(file, runner_opts);
+  run.report = runner.Run(source, on_complete);
+  return run;
+}
+
+/// After a MixedRun: every resident key is still found, every deleted and
+/// every phantom key is gone.
+void ExpectFinalState(sdds::SddsFile& file, const MixedRun& run) {
+  for (Key k : run.resident) EXPECT_TRUE(file.Search(k).ok()) << k;
+  for (Key k : run.deleted) {
+    EXPECT_TRUE(file.Search(k).status().IsNotFound()) << k;
+  }
+  for (Key k : run.phantoms) {
+    EXPECT_TRUE(file.Search(k).status().IsNotFound()) << k;
+  }
+}
+
 TEST(OpenLoopWorkloadTest, DriverRunsCleanAcrossSchemes) {
-  WorkloadSpec spec;
+  workload::GeneratorOptions gen_opts;
+  gen_opts.seed = 67;
+  gen_opts.sessions = 4;
+  gen_opts.ops_per_session = 75;
+  gen_opts.keyspace = 64;
   auto drive = [&](sdds::SddsFile& file) {
-    Rng rng(67);
-    OpenLoopOptions options;
-    options.sessions = 4;
-    options.window = 2;
-    const OpenLoopResult result =
-        RunOpenLoopWorkload(file, spec, 300, options, rng);
-    EXPECT_EQ(result.report.completed, 300u);
-    EXPECT_EQ(result.stats.failures, 0u) << result.stats.ToString();
-    EXPECT_EQ(result.report.stalled, 0u);
-    EXPECT_GT(result.stats.live_keys, 0u);
-    EXPECT_GT(result.report.OpsPerSimSecond(), 0.0);
+    const MixedRun run = RunMixed(file, gen_opts, RunnerOptions{4, 2, 0});
+    const RunnerReport& report = run.report;
+    EXPECT_EQ(report.completed, 300u);
+    EXPECT_EQ(report.failures, 0u);
+    EXPECT_EQ(report.stalled, 0u);
+    EXPECT_EQ(run.wrong, 0u);
+    EXPECT_EQ(run.duplicate_answers, 0u);
+    EXPECT_EQ(report.not_found, run.phantom_misses + run.raced_misses);
+    EXPECT_GT(run.deletes, 0u) << "no delete ran";
+    EXPECT_GT(run.phantom_misses, 0u) << "no phantom search ran";
+    EXPECT_GT(run.raced_misses, 0u) << "no op raced a delete";
+    EXPECT_GT(run.inserts_landed, 0u) << "no insert landed";
+    ExpectFinalState(file, run);
+    EXPECT_GT(report.OpsPerSimSecond(), 0.0);
   };
   LhrsFile rs(LhrsOpts());
   drive(rs);
@@ -302,9 +424,9 @@ TEST(OpenLoopWorkloadTest, DriverRunsCleanAcrossSchemes) {
 TEST(OpenLoopWorkloadTest, SameSeedReplaysByteIdenticallyUnderChaos) {
   // The headline determinism property carried over to the open-loop world:
   // a pipelined run under seeded message chaos (delays, duplicates,
-  // reorders) is a pure function of its seeds — the full telemetry trace
-  // and every per-op latency replay byte-identically.
-  auto run = [](std::string& trace, RunnerReport& report) {
+  // reorders) is a pure function of its seeds — the full telemetry trace,
+  // every per-op latency and every op's outcome replay byte-identically.
+  auto run = [](std::string& trace, MixedRun& mixed) {
     LhrsFile file(LhrsOpts(4, 2));
     file.network().EnableTelemetry();
     FaultPlan plan;
@@ -313,26 +435,40 @@ TEST(OpenLoopWorkloadTest, SameSeedReplaysByteIdenticallyUnderChaos) {
         .DelayMessages(0.15, 400, 200)
         .ReorderMessages(0.1, 300);
     file.AttachChaos(std::move(plan));
-    WorkloadSpec spec;
-    Rng rng(97);
-    OpenLoopOptions options;
-    options.sessions = 3;
-    options.window = 2;
-    const OpenLoopResult result =
-        RunOpenLoopWorkload(file, spec, 250, options, rng);
-    EXPECT_EQ(result.report.completed, 250u);
-    report = result.report;
+    workload::GeneratorOptions gen_opts;
+    gen_opts.seed = 97;
+    gen_opts.sessions = 3;
+    gen_opts.ops_per_session = 84;
+    gen_opts.keyspace = 64;
+    mixed = RunMixed(file, gen_opts, RunnerOptions{3, 2, 250});
+    const RunnerReport& report = mixed.report;
+    EXPECT_EQ(report.completed, 250u);
+    // Client op requests are not deduplicated, so a duplicated insert can
+    // surface as AlreadyExists; ExpectFinalState below checks that each
+    // such key did land. No other failure is allowed.
+    EXPECT_EQ(report.failures, mixed.duplicate_answers);
+    EXPECT_EQ(mixed.wrong, 0u);
+    EXPECT_EQ(report.not_found, mixed.phantom_misses + mixed.raced_misses);
+    EXPECT_GT(mixed.deletes, 0u) << "no delete ran";
+    EXPECT_GT(mixed.phantom_misses, 0u) << "no phantom search ran";
+    EXPECT_GT(mixed.raced_misses, 0u) << "no op raced a delete";
     file.DetachChaos();
     trace = file.network().telemetry()->tracer().ToJson();
+    ExpectFinalState(file, mixed);
+    EXPECT_TRUE(file.VerifyParityInvariants().ok());
   };
   std::string trace_a, trace_b;
-  RunnerReport report_a, report_b;
-  run(trace_a, report_a);
-  run(trace_b, report_b);
+  MixedRun run_a, run_b;
+  run(trace_a, run_a);
+  run(trace_b, run_b);
   EXPECT_EQ(trace_a, trace_b);
-  EXPECT_EQ(report_a.latencies_us, report_b.latencies_us);
-  EXPECT_EQ(report_a.end_us, report_b.end_us);
-  EXPECT_EQ(report_a.ok, report_b.ok);
+  EXPECT_EQ(run_a.report.latencies_us, run_b.report.latencies_us);
+  EXPECT_EQ(run_a.report.end_us, run_b.report.end_us);
+  EXPECT_EQ(run_a.report.ok, run_b.report.ok);
+  EXPECT_EQ(run_a.report.not_found, run_b.report.not_found);
+  EXPECT_EQ(run_a.report.failures, run_b.report.failures);
+  EXPECT_EQ(run_a.outcome_digest, run_b.outcome_digest);
+  EXPECT_EQ(run_a.deleted, run_b.deleted);
 }
 
 }  // namespace

@@ -12,9 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/lhg/lhg_messages.h"
-#include "baselines/lhm/lhm_file.h"
-#include "baselines/lhs/lhs_file.h"
 #include "common/rng.h"
 #include "lhrs/messages.h"
 #include "lhstar/messages.h"
@@ -377,168 +374,6 @@ std::vector<std::unique_ptr<MessageBody>> SampleBodies() {
   {
     auto m = std::make_unique<lhrs::PongReplyMsg>();
     m->probe_id = 66;
-    add(std::move(m));
-  }
-
-  // --- LH*g baseline ------------------------------------------------------
-  {
-    auto m = std::make_unique<lhg::ParityUpdateMsg>();
-    m->gkey = lhg::GroupKey{2, 9}.Packed();
-    m->op = lhg::ParityUpdateMsg::Op::kValueUpdate;
-    m->member = 321;
-    m->new_length = 12;
-    m->delta = Payload("lhg-delta");
-    m->reply_to = 14;
-    m->intended_bucket = 1;
-    m->hops = 1;
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::ParityIamMsg>();
-    m->bucket = 3;
-    m->level = 2;
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::CollectForDataMsg>();
-    m->task_id = 21;
-    m->bucket = 2;
-    m->file_level = 3;
-    m->group_size = 4;
-    m->initial_buckets = 1;
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::CollectForDataReplyMsg>();
-    m->task_id = 21;
-    m->from_bucket = 0;
-    lhg::SerializedParityRecord rec;
-    rec.gkey = lhg::GroupKey{1, 4}.Packed();
-    rec.data = Payload("serialized-parity-record");
-    m->records = {rec};
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::CollectForParityMsg>();
-    m->task_id = 22;
-    m->parity_bucket = 1;
-    m->also_bucket = 3;
-    m->i2 = 1;
-    m->n2 = 0;
-    m->f2_initial_buckets = 1;
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::CollectForParityReplyMsg>();
-    m->task_id = 22;
-    m->from_bucket = 2;
-    lhg::TaggedRecord rec;
-    rec.gkey = lhg::GroupKey{0, 7}.Packed();
-    rec.key = 432;
-    rec.value = Payload("tagged-value");
-    m->records = {rec};
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::InstallParityMsg>();
-    m->task_id = 23;
-    m->bucket = 1;
-    m->level = 1;
-    lhg::SerializedParityRecord rec;
-    rec.gkey = 5;
-    rec.data = Payload("rebuilt");
-    m->records = {rec};
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::InstallDataMsg>();
-    m->task_id = 23;
-    m->bucket = 2;
-    m->level = 2;
-    m->counter = 17;
-    lhg::TaggedRecord rec;
-    rec.gkey = 6;
-    rec.key = 88;
-    rec.value = Payload("rebuilt-data");
-    m->records = {rec};
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::InstallAckMsg>();
-    m->task_id = 23;
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::FindParityMsg>();
-    m->task_id = 24;
-    m->key = 765;
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhg::FindParityReplyMsg>();
-    m->task_id = 24;
-    m->from_bucket = 1;
-    m->found = true;
-    m->gkey = 9;
-    m->record = Payload("found-parity");
-    add(std::move(m));
-  }
-
-  // --- LH*m baseline ------------------------------------------------------
-  {
-    auto m = std::make_unique<lhm::MirrorReadMsg>();
-    m->task_id = 31;
-    m->bucket = 2;
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhm::MirrorReadReplyMsg>();
-    m->task_id = 31;
-    m->level = 2;
-    m->records = {SampleRecord(3, "mirrored")};
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhm::MirrorInstallMsg>();
-    m->task_id = 31;
-    m->bucket = 2;
-    m->level = 2;
-    m->records = {SampleRecord(3, "mirrored")};
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhm::MirrorAckMsg>();
-    m->task_id = 31;
-    add(std::move(m));
-  }
-
-  // --- LH*s baseline ------------------------------------------------------
-  {
-    auto m = std::make_unique<lhs::StripeReadMsg>();
-    m->task_id = 41;
-    m->bucket = 1;
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhs::StripeReadReplyMsg>();
-    m->task_id = 41;
-    m->file_index = 2;
-    m->level = 1;
-    m->failed = true;
-    m->records = {SampleRecord(4, "striped")};
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhs::StripeInstallMsg>();
-    m->task_id = 41;
-    m->bucket = 1;
-    m->level = 1;
-    m->records = {SampleRecord(4, "striped")};
-    add(std::move(m));
-  }
-  {
-    auto m = std::make_unique<lhs::StripeAckMsg>();
-    m->task_id = 41;
     add(std::move(m));
   }
 
