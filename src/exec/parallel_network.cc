@@ -235,6 +235,7 @@ void ParallelNetwork::EnqueueParallel(std::unique_ptr<MessageBody> body,
   msg->to = to;
   msg->send_time = send_time;
   msg->multicast_member = multicast_member;
+  msg->bytes = bytes;
   msg->to_epoch = node_epoch_[to].load(std::memory_order_acquire);
   msg->body = std::move(body);
 
@@ -287,6 +288,7 @@ void ParallelNetwork::Inject(NodeId from, NodeId to,
   msg->from = from;
   msg->to = to;
   msg->send_time = LocalNow(CurrentLocality());
+  msg->bytes = body->ByteSize();
   msg->to_epoch = node_epoch_[to].load(std::memory_order_acquire);
   msg->body = std::move(body);
   Task task;
@@ -309,6 +311,7 @@ void ParallelNetwork::NotifyDeliveryFailure(NodeId from, NodeId to,
   msg->from = from;
   msg->to = to;
   msg->send_time = LocalNow(sender_locality);
+  msg->bytes = body->ByteSize();
   msg->body = std::move(body);
   Task task;
   task.kind = Task::Kind::kFailure;
@@ -614,7 +617,7 @@ void ParallelNetwork::ExecuteTask(Worker* w, const Task& task) {
         }
         return;
       }
-      const size_t bytes = msg.body->ByteSize();
+      const size_t bytes = msg.bytes;
       const SimTime start =
           std::max(w->clock.load(std::memory_order_relaxed), task.time);
       w->clock.store(start + ServiceUs(bytes), std::memory_order_relaxed);
@@ -652,7 +655,7 @@ void ParallelNetwork::ExecuteTask(Worker* w, const Task& task) {
         telemetry_->tracer().Record(
             {start, telemetry::TraceEventType::kDeliveryFailure, msg.from,
              msg.to, msg.body->kind(), -1,
-             static_cast<int64_t>(msg.body->ByteSize())});
+             static_cast<int64_t>(msg.bytes)});
       }
       ++w->processed;
       node_ptr_[msg.from].load(std::memory_order_acquire)

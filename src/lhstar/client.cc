@@ -34,8 +34,8 @@ NodeId ClientNode::ResolveNode(BucketNo bucket) {
 uint64_t ClientNode::StartOp(OpType op, Key key, BufferView value) {
   const uint64_t op_id = next_op_id_++;
   const BucketNo a = image_.Address(key);  // Algorithm (A1) on the image.
-  PendingOp& pending = pending_[op_id];
-  pending = PendingOp{op, key, std::move(value), a};
+  PendingOp& pending =
+      pending_.Insert(op_id, PendingOp{op, key, std::move(value), a});
   pending.start_us = network()->now();
   SendDirect(op_id, pending);
   if (retry_.enabled) ArmOpTimer(op_id, pending);
@@ -106,12 +106,12 @@ void ClientNode::ArmOpTimer(uint64_t op_id, PendingOp& op) {
 
 void ClientNode::HandleTimer(uint64_t timer_id) {
   if (!retry_.enabled) return;
-  auto it = pending_.find(timer_id);
-  if (it == pending_.end()) return;  // Completed; timer is stale.
+  PendingOp* op = pending_.Find(timer_id);
+  if (op == nullptr) return;  // Completed; timer is stale.
   // A bounce-triggered resend moved the deadline past this (uncancellable)
   // timer: the newer timer owns the attempt.
-  if (network()->now() < it->second.deadline) return;
-  RetryOp(timer_id, it->second);
+  if (network()->now() < op->deadline) return;
+  RetryOp(timer_id, *op);
 }
 
 void ClientNode::RetryOp(uint64_t op_id, PendingOp& op) {
@@ -327,14 +327,12 @@ uint64_t ClientNode::StartScan(ScanPredicate predicate, bool deterministic) {
 }
 
 Result<OpOutcome> ClientNode::TakeResult(uint64_t op_id) {
-  auto it = done_.find(op_id);
-  if (it == done_.end()) {
+  std::optional<OpOutcome> out = done_.Take(op_id);
+  if (!out.has_value()) {
     return Status::Internal("operation " + std::to_string(op_id) +
                             " not finished");
   }
-  OpOutcome out = std::move(it->second);
-  done_.erase(it);
-  return out;
+  return std::move(*out);
 }
 
 void ClientNode::FinishProbabilisticScan(uint64_t op_id) {
@@ -355,10 +353,10 @@ void ClientNode::ResetImage() {
 
 void ClientNode::CompleteOp(uint64_t op_id, OpOutcome outcome) {
   RecordOpLatency(op_id);
-  pending_.erase(op_id);
+  pending_.Erase(op_id);
   pending_scans_.erase(op_id);
   pending_batches_.erase(op_id);
-  done_[op_id] = std::move(outcome);
+  done_.Insert(op_id, std::move(outcome));
   // Last: the callback may re-enter StartOp / TakeResult.
   if (on_op_complete_) on_op_complete_(op_id);
 }
@@ -367,9 +365,9 @@ void ClientNode::RecordOpLatency(uint64_t op_id) {
   if (network() == nullptr || network()->telemetry() == nullptr) return;
   size_t slot;
   SimTime start;
-  if (auto it = pending_.find(op_id); it != pending_.end()) {
-    slot = static_cast<size_t>(it->second.op);
-    start = it->second.start_us;
+  if (const PendingOp* op = pending_.Find(op_id)) {
+    slot = static_cast<size_t>(op->op);
+    start = op->start_us;
   } else if (auto sit = pending_scans_.find(op_id);
              sit != pending_scans_.end()) {
     slot = 4;
@@ -399,8 +397,8 @@ void ClientNode::HandleMessage(const Message& msg) {
       return;
     case LhStarMsg::kOpReply: {
       const auto& reply = static_cast<const OpReplyMsg&>(*msg.body);
-      auto it = pending_.find(reply.op_id);
-      if (it == pending_.end()) {
+      const PendingOp* op = pending_.Find(reply.op_id);
+      if (op == nullptr) {
         // A child of a batch operation (coordinator fallback)?
         if (auto cit = batch_children_.find(reply.op_id);
             cit != batch_children_.end()) {
@@ -429,15 +427,15 @@ void ClientNode::HandleMessage(const Message& msg) {
         return;
       }
       StatusCode code = reply.code;
-      if (retry_.enabled && it->second.attempts > 1) {
+      if (retry_.enabled && op->attempts > 1) {
         // At-least-once semantics: if an earlier attempt landed, its
         // effect shows up as a constraint error on the retry — fold it
         // back into success.
-        if (it->second.op == OpType::kInsert &&
+        if (op->op == OpType::kInsert &&
             code == StatusCode::kAlreadyExists) {
           code = StatusCode::kOk;
         }
-        if (it->second.op == OpType::kDelete &&
+        if (op->op == OpType::kDelete &&
             code == StatusCode::kNotFound) {
           code = StatusCode::kOk;
         }
@@ -546,8 +544,8 @@ void ClientNode::HandleDeliveryFailure(const Message& msg) {
       // coordinator, which completes the operation (recovering first when
       // the file has an availability layer).
       const auto& req = static_cast<const OpRequestMsg&>(*msg.body);
-      auto it = pending_.find(req.op_id);
-      if (it == pending_.end()) return;
+      PendingOp* op = pending_.Find(req.op_id);
+      if (op == nullptr) return;
       // Evict the stale cache entry; the next attempt re-resolves.
       if (req.intended_bucket < cached_nodes_.size()) {
         cached_nodes_[req.intended_bucket] = kInvalidNode;
@@ -561,7 +559,7 @@ void ClientNode::HandleDeliveryFailure(const Message& msg) {
         // The bounce is a definite loss signal: retry immediately rather
         // than waiting out the attempt timer (RetryOp re-arms the
         // deadline, superseding it).
-        RetryOp(req.op_id, it->second);
+        RetryOp(req.op_id, *op);
         return;
       }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/id_table.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "lh/lh_math.h"
@@ -96,7 +97,7 @@ class ClientNode : public Node {
   /// simulation as the paper's time-out).
   uint64_t StartScan(ScanPredicate predicate, bool deterministic = true);
 
-  bool IsDone(uint64_t op_id) const { return done_.contains(op_id); }
+  bool IsDone(uint64_t op_id) const { return done_.Contains(op_id); }
 
   /// Declares a probabilistic-termination scan finished (the driver's
   /// time-out fired): whatever replies arrived become the result.
@@ -223,13 +224,15 @@ class ClientNode : public Node {
   std::shared_ptr<SystemContext> ctx_;
   ClientImage image_;
   uint64_t next_op_id_ = 1;
-  std::map<uint64_t, PendingOp> pending_;
+  /// Key-addressed ops in flight, by op id.
+  IdTable<PendingOp> pending_;
   std::map<uint64_t, PendingScan> pending_scans_;
   std::map<uint64_t, PendingBatch> pending_batches_;
   /// Child insert op id -> owning batch op id (coordinator fallback).
   std::map<uint64_t, uint64_t> batch_children_;
   uint64_t next_batch_seq_ = 1;
-  std::map<uint64_t, OpOutcome> done_;
+  /// Finished ops whose outcome has not been taken yet, by op id.
+  IdTable<OpOutcome> done_;
   std::vector<NodeId> cached_nodes_;
   uint64_t iam_count_ = 0;
   uint64_t forwarded_ops_ = 0;

@@ -23,11 +23,14 @@ size_t DataBucketNode::StorageBytes() const {
 
 void DataBucketNode::HandleMessage(const Message& msg) {
   const int k = msg.body->kind();
-  if ((k == LhStarMsg::kSplitOrder || k == LhStarMsg::kMoveRecords ||
-       k == LhStarMsg::kMergeOut || k == LhStarMsg::kMergeRecords ||
-       k == LhStarMsg::kInsertBatch) &&
+  if ((k == LhStarMsg::kOpRequest || k == LhStarMsg::kSplitOrder ||
+       k == LhStarMsg::kMoveRecords || k == LhStarMsg::kMergeOut ||
+       k == LhStarMsg::kMergeRecords || k == LhStarMsg::kInsertBatch) &&
       network()->fault_injection_active() && dedup_.SeenBefore(msg.id)) {
-    return;  // Duplicated restructuring/batch message (not idempotent).
+    // Duplicated client op or restructuring/batch message: none of them is
+    // idempotent (a second copy of an insert that landed would answer
+    // AlreadyExists, of a delete NotFound).
+    return;
   }
   switch (msg.body->kind()) {
     case LhStarMsg::kOpRequest:

@@ -64,8 +64,8 @@ sdds::OpToken LhStarFile::Submit(size_t session, OpType op, Key key,
   ClientNode& c = client(session);
   const sdds::OpToken token = NextToken();
   const uint64_t op_id = c.StartOp(op, key, std::move(value));
-  tokens_[token] = TokenEntry{session, op_id};
-  op_tokens_[session][op_id] = token;
+  tokens_.Insert(token, TokenEntry{session, op_id});
+  op_tokens_[session].Insert(op_id, token);
   return token;
 }
 
@@ -74,34 +74,33 @@ sdds::OpToken LhStarFile::SubmitBatch(size_t session,
   ClientNode& c = client(session);
   const sdds::OpToken token = NextToken();
   const uint64_t op_id = c.StartInsertBatch(std::move(records));
-  tokens_[token] = TokenEntry{session, op_id};
-  op_tokens_[session][op_id] = token;
+  tokens_.Insert(token, TokenEntry{session, op_id});
+  op_tokens_[session].Insert(op_id, token);
   return token;
 }
 
 bool LhStarFile::Poll(sdds::OpToken token) const {
-  auto it = tokens_.find(token);
-  if (it == tokens_.end()) return false;
-  return clients_[it->second.session]->IsDone(it->second.op_id);
+  const TokenEntry* entry = tokens_.Find(token);
+  return entry != nullptr && clients_[entry->session]->IsDone(entry->op_id);
 }
 
 Result<OpOutcome> LhStarFile::Take(sdds::OpToken token) {
-  auto it = tokens_.find(token);
-  if (it == tokens_.end()) {
+  const TokenEntry* found = tokens_.Find(token);
+  if (found == nullptr) {
     return Status::Internal("unknown operation token");
   }
-  const TokenEntry entry = it->second;
+  const TokenEntry entry = *found;
   Result<OpOutcome> outcome = clients_[entry.session]->TakeResult(entry.op_id);
   if (!outcome.ok()) return outcome;  // Still in flight: token stays live.
-  tokens_.erase(it);
-  op_tokens_[entry.session].erase(entry.op_id);
+  tokens_.Erase(token);
+  op_tokens_[entry.session].Erase(entry.op_id);
   return outcome;
 }
 
 void LhStarFile::OnClientOpComplete(size_t session, uint64_t op_id) {
-  auto it = op_tokens_[session].find(op_id);
-  if (it == op_tokens_[session].end()) return;  // Not started via Submit.
-  NotifyComplete(it->second);
+  const sdds::OpToken* token = op_tokens_[session].Find(op_id);
+  if (token == nullptr) return;  // Not started via Submit.
+  NotifyComplete(*token);
 }
 
 Status LhStarFile::InsertVia(size_t client_index, Key key, Bytes value) {

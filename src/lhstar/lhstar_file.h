@@ -1,12 +1,12 @@
 #ifndef LHRS_LHSTAR_LHSTAR_FILE_H_
 #define LHRS_LHSTAR_LHSTAR_FILE_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "chaos/chaos.h"
 #include "common/bytes.h"
+#include "common/id_table.h"
 #include "common/result.h"
 #include "lhstar/client.h"
 #include "lhstar/coordinator.h"
@@ -133,9 +133,9 @@ class LhStarFile : public sdds::SddsFile {
     size_t session = 0;
     uint64_t op_id = 0;
   };
-  std::map<sdds::OpToken, TokenEntry> tokens_;
+  IdTable<TokenEntry> tokens_;
   /// Per session: client op id -> token (reverse index for the callback).
-  std::vector<std::map<uint64_t, sdds::OpToken>> op_tokens_;
+  std::vector<IdTable<sdds::OpToken>> op_tokens_;
 
   sdds::NodeIndex<DataBucketNode> data_nodes_;
 };

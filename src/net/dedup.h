@@ -2,8 +2,8 @@
 #define LHRS_NET_DEDUP_H_
 
 #include <cstdint>
-#include <deque>
 #include <unordered_set>
+#include <vector>
 
 namespace lhrs {
 
@@ -20,15 +20,21 @@ namespace lhrs {
 /// achievable reorder distance.
 class DuplicateFilter {
  public:
+  /// `capacity` must be positive. Nothing is allocated until the first
+  /// SeenBefore: every data and parity bucket owns a filter, and only a
+  /// fault-injected or lossy run ever records into one.
   explicit DuplicateFilter(size_t capacity = 4096) : capacity_(capacity) {}
 
   /// Records `msg_id` and reports whether it was already in the window.
   bool SeenBefore(uint64_t msg_id) {
     if (!seen_.insert(msg_id).second) return true;
-    order_.push_back(msg_id);
-    if (order_.size() > capacity_) {
-      seen_.erase(order_.front());
-      order_.pop_front();
+    if (order_.size() < capacity_) {
+      order_.push_back(msg_id);
+    } else {
+      // Full: the ring slot of the oldest id takes the newest.
+      seen_.erase(order_[oldest_]);
+      order_[oldest_] = msg_id;
+      oldest_ = oldest_ + 1 == capacity_ ? 0 : oldest_ + 1;
     }
     return false;
   }
@@ -43,7 +49,10 @@ class DuplicateFilter {
  private:
   size_t capacity_;
   std::unordered_set<uint64_t> seen_;
-  std::deque<uint64_t> order_;
+  /// Insertion order: grows to `capacity_`, then is reused as a ring whose
+  /// oldest entry sits at `oldest_`.
+  std::vector<uint64_t> order_;
+  size_t oldest_ = 0;
 };
 
 }  // namespace lhrs

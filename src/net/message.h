@@ -55,6 +55,9 @@ struct Message {
   NodeId to = kInvalidNode;
   SimTime send_time = 0;
   bool multicast_member = false;  ///< Part of a 1-counted multicast batch.
+  /// body->ByteSize(), computed once when the network accepts the message;
+  /// delivery statistics and traces read it from here.
+  size_t bytes = 0;
   /// Crash epoch of the destination at send time. A crash increments the
   /// destination's epoch, so a message in flight across a crash bounces
   /// even when the node is back up by delivery time — the crash lost the

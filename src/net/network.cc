@@ -103,6 +103,7 @@ void Network::Enqueue(std::unique_ptr<MessageBody> body, NodeId from,
   msg->to = to;
   msg->send_time = now_;
   msg->multicast_member = multicast_member;
+  msg->bytes = bytes;
   msg->to_epoch = nodes_[to].epoch;
   msg->body = std::move(body);
 
@@ -146,6 +147,7 @@ void Network::Inject(NodeId from, NodeId to,
   msg->from = from;
   msg->to = to;
   msg->send_time = now_;
+  msg->bytes = body->ByteSize();
   msg->to_epoch = nodes_[to].epoch;
   msg->body = std::move(body);
   // Delivered through the ordinary event path so the crash-epoch check,
@@ -165,6 +167,7 @@ void Network::NotifyDeliveryFailure(NodeId from, NodeId to,
   msg->from = from;
   msg->to = to;
   msg->send_time = now_;
+  msg->bytes = body->ByteSize();
   msg->body = std::move(body);
   Push(Event{now_, next_seq_++, EventType::kDeliveryFailure,
              std::move(msg)});
@@ -262,7 +265,7 @@ void Network::ProcessEvent(Event ev) {
         }
         break;
       }
-      const size_t bytes = msg.body->ByteSize();
+      const size_t bytes = msg.bytes;
       stats_.RecordReceive(msg.to, bytes);
       if (telemetry_ != nullptr) {
         tm_.deliveries->Add();
@@ -282,7 +285,7 @@ void Network::ProcessEvent(Event ev) {
           telemetry_->tracer().Record(
               {now_, telemetry::TraceEventType::kDeliveryFailure, msg.from,
                msg.to, msg.body->kind(), -1,
-               static_cast<int64_t>(msg.body->ByteSize())});
+               static_cast<int64_t>(msg.bytes)});
         }
         nodes_[msg.from].node->HandleDeliveryFailure(msg);
       }

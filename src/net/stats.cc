@@ -1,5 +1,6 @@
 #include "net/stats.h"
 
+#include <map>
 #include <sstream>
 
 #include "telemetry/metrics.h"
@@ -28,24 +29,32 @@ std::string MessageKindName(int kind) {
 
 void MessageStats::ExportTo(telemetry::MetricsRegistry* registry) const {
   using telemetry::Labeled;
-  for (const auto& [kind, c] : per_kind_) {
+  for (const KindCounter& kc : per_kind_) {
     registry->GetCounter(Labeled("net.sent.messages", "kind",
-                                 MessageKindName(kind)))
-        .Add(c.messages);
+                                 MessageKindName(kc.kind)))
+        .Add(kc.counter.messages);
     registry->GetCounter(Labeled("net.sent.bytes", "kind",
-                                 MessageKindName(kind)))
+                                 MessageKindName(kc.kind)))
+        .Add(kc.counter.bytes);
+  }
+  for (size_t node = 0; node < sent_.size(); ++node) {
+    const Counter& c = sent_[node];
+    if (c.messages == 0) continue;
+    registry->GetCounter(Labeled("net.node_sent.messages", "node",
+                                 static_cast<int64_t>(node)))
+        .Add(c.messages);
+    registry->GetCounter(Labeled("net.node_sent.bytes", "node",
+                                 static_cast<int64_t>(node)))
         .Add(c.bytes);
   }
-  for (const auto& [node, c] : per_node_sent_) {
-    registry->GetCounter(Labeled("net.node_sent.messages", "node", node))
+  for (size_t node = 0; node < received_.size(); ++node) {
+    const Counter& c = received_[node];
+    if (c.messages == 0) continue;
+    registry->GetCounter(Labeled("net.node_received.messages", "node",
+                                 static_cast<int64_t>(node)))
         .Add(c.messages);
-    registry->GetCounter(Labeled("net.node_sent.bytes", "node", node))
-        .Add(c.bytes);
-  }
-  for (const auto& [node, c] : per_node_received_) {
-    registry->GetCounter(Labeled("net.node_received.messages", "node", node))
-        .Add(c.messages);
-    registry->GetCounter(Labeled("net.node_received.bytes", "node", node))
+    registry->GetCounter(Labeled("net.node_received.bytes", "node",
+                                 static_cast<int64_t>(node)))
         .Add(c.bytes);
   }
 }
@@ -55,9 +64,9 @@ std::string MessageStats::ToString() const {
   os << "messages=" << total_.messages << " bytes=" << total_.bytes
      << " deliveries=" << deliveries_ << " failures=" << delivery_failures_
      << "\n";
-  for (const auto& [kind, c] : per_kind_) {
-    os << "  " << MessageKindName(kind) << ": " << c.messages << " msgs, "
-       << c.bytes << " B\n";
+  for (const KindCounter& kc : per_kind_) {
+    os << "  " << MessageKindName(kc.kind) << ": " << kc.counter.messages
+       << " msgs, " << kc.counter.bytes << " B\n";
   }
   return os.str();
 }

@@ -31,15 +31,14 @@ OpToken SessionPool::Submit(size_t session, SddsOp op) {
   const OpToken token =
       file_.Submit(session, entry.op.op, entry.op.key, Bytes(entry.op.value));
   ++inflight_per_session_[session];
-  open_.emplace(token, std::move(entry));
+  open_.Insert(token, std::move(entry));
   return token;
 }
 
 void SessionPool::OnComplete(OpToken token) {
-  auto it = open_.find(token);
-  if (it == open_.end()) return;  // A sync call outside the pool.
-  Inflight entry = std::move(it->second);
-  open_.erase(it);
+  std::optional<Inflight> taken = open_.Take(token);
+  if (!taken.has_value()) return;  // A sync call outside the pool.
+  Inflight& entry = *taken;
   --inflight_per_session_[entry.session];
   Result<OpOutcome> outcome = file_.Take(token);
   LHRS_CHECK(outcome.ok()) << "listener fired for unfinished op";

@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
+#include "common/id_table.h"
 #include "sdds/facade.h"
 
 namespace lhrs::sdds {
@@ -74,7 +74,7 @@ class SessionPool {
   size_t sessions_;
   size_t window_;
   std::vector<size_t> inflight_per_session_;
-  std::map<OpToken, Inflight> open_;
+  IdTable<Inflight> open_;
   CompletionHandler handler_;
 };
 

@@ -206,6 +206,57 @@ TEST(ChaosEngineTest, DuplicatedRepliesAreSuppressed) {
   EXPECT_TRUE(file.VerifyParityInvariants().ok());
 }
 
+/// Duplicates every client op request and holds back every OK reply, so
+/// the answer to a second copy of a request, if a bucket sent one, would
+/// reach the client before the answer to the first.
+class DuplicateOpRequests : public FaultInjector {
+ public:
+  FaultActions OnMessage(const Message& msg, SimTime /*now*/) override {
+    FaultActions actions;
+    if (msg.body->kind() == LhStarMsg::kOpRequest) {
+      actions.duplicates = 1;
+      ++duplicated;
+    } else if (msg.body->kind() == LhStarMsg::kOpReply &&
+               static_cast<const OpReplyMsg&>(*msg.body).code ==
+                   StatusCode::kOk) {
+      actions.extra_delay_us = 500;
+    }
+    return actions;
+  }
+  uint64_t duplicated = 0;
+};
+
+TEST(ChaosEngineTest, DuplicatedOpRequestsApplyOnce) {
+  LhrsFile file(Opts(4, 1));
+  DuplicateOpRequests injector;
+  file.network().SetFaultInjector(&injector);
+  const std::vector<Key> keys = MakeKeys(40, 47);
+  for (Key k : keys) {
+    EXPECT_TRUE(file.Insert(k, Val("v" + std::to_string(k))).ok()) << k;
+  }
+  for (Key k : keys) {
+    EXPECT_TRUE(file.Update(k, Val("u" + std::to_string(k))).ok()) << k;
+  }
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    EXPECT_TRUE(file.Delete(keys[i]).ok()) << keys[i];
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto got = file.Search(keys[i]);
+    if (i % 2 == 0) {
+      EXPECT_TRUE(got.status().IsNotFound()) << keys[i];
+    } else {
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, Val("u" + std::to_string(keys[i])));
+    }
+  }
+  // Every op's request was duplicated at least once (forwards add more).
+  EXPECT_GE(injector.duplicated, 3 * keys.size() + keys.size() / 2);
+  // Each op was answered once: no late reply reached the client.
+  EXPECT_EQ(file.client(0).duplicates_suppressed(), 0u);
+  file.network().SetFaultInjector(nullptr);
+  EXPECT_TRUE(file.VerifyParityInvariants().ok());
+}
+
 TEST(ChaosEngineTest, SlowNodeStretchesLatencyWithoutBreakingOps) {
   LhrsFile file(Opts(4, 1));
   std::vector<Key> keys = MakeKeys(30, 51);

@@ -1,5 +1,6 @@
 // Unit tests for the common kernel: Status/Result, byte utilities, RNG.
 
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/id_table.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -209,6 +211,108 @@ TEST(RngTest, RandomBytesLengthAndVariety) {
   ASSERT_EQ(b.size(), 1000u);
   std::set<uint8_t> distinct(b.begin(), b.end());
   EXPECT_GT(distinct.size(), 100u);
+}
+
+// --- IdTable -----------------------------------------------------------------
+
+TEST(IdTableTest, EmptyTableHoldsNoStorage) {
+  IdTable<std::string> table;
+  EXPECT_EQ(table.capacity(), 0u);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.Find(1), nullptr);
+  EXPECT_FALSE(table.Contains(0));
+  EXPECT_FALSE(table.Erase(1));
+  EXPECT_FALSE(table.Take(1).has_value());
+  EXPECT_EQ(table.capacity(), 0u);
+}
+
+TEST(IdTableTest, OutOfOrderEraseMatchesAMap) {
+  // Ids are handed out in sequence and retired in random order with a
+  // bounded number live, like ops completing out of order.
+  IdTable<uint64_t> table;
+  std::map<uint64_t, uint64_t> model;
+  Rng rng(17);
+  uint64_t next_id = 1;
+  for (int step = 0; step < 20000; ++step) {
+    if (model.size() < 40 && (model.empty() || rng.Flip(0.5))) {
+      const uint64_t id = next_id++;
+      table.Insert(id, id * 3);
+      model[id] = id * 3;
+    } else {
+      auto it = model.begin();
+      std::advance(it, rng.Uniform(model.size()));
+      std::optional<uint64_t> taken = table.Take(it->first);
+      ASSERT_TRUE(taken.has_value()) << it->first;
+      EXPECT_EQ(*taken, it->second);
+      model.erase(it);
+    }
+    ASSERT_EQ(table.size(), model.size());
+  }
+  for (const auto& [id, value] : model) {
+    ASSERT_NE(table.Find(id), nullptr) << id;
+    EXPECT_EQ(*table.Find(id), value);
+  }
+  EXPECT_FALSE(table.Contains(next_id));
+  EXPECT_LE(table.capacity(), 128u);
+}
+
+TEST(IdTableTest, CollidingIdsSurviveEraseFromTheMiddleOfARun) {
+  // 15, 31 and 47 share the last slot of a 16-slot table, so their probe
+  // run wraps to the front, where it pushes 16 out of its own home slot.
+  // Erasing from the middle of the run must shift the rest back.
+  IdTable<int> table;
+  for (uint64_t id : {15, 31, 47, 16, 3}) {
+    table.Insert(id, static_cast<int>(id));
+  }
+  ASSERT_EQ(table.capacity(), 16u);
+  EXPECT_TRUE(table.Erase(31));
+  for (uint64_t id : {15, 47, 16, 3}) {
+    ASSERT_NE(table.Find(id), nullptr) << id;
+    EXPECT_EQ(*table.Find(id), static_cast<int>(id));
+  }
+  EXPECT_FALSE(table.Contains(31));
+  EXPECT_TRUE(table.Erase(15));
+  EXPECT_EQ(*table.Find(47), 47);
+  EXPECT_EQ(*table.Find(16), 16);
+  EXPECT_EQ(table.size(), 3u);
+}
+
+TEST(IdTableTest, EntryNeverErasedDoesNotPinAWindow) {
+  // An op that never completes keeps its slot; every later id wraps past
+  // it and the table stays sized by what is live.
+  IdTable<std::string> table;
+  table.Insert(1, "stuck");
+  for (uint64_t id = 2; id < 100000; ++id) {
+    table.Insert(id, "op");
+    ASSERT_TRUE(table.Erase(id));
+  }
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.capacity(), 8u);
+  ASSERT_NE(table.Find(1), nullptr);
+  EXPECT_EQ(*table.Find(1), "stuck");
+}
+
+TEST(IdTableTest, ReuseAfterEraseAndOverwrite) {
+  IdTable<std::string> table;
+  table.Insert(5, "first");
+  EXPECT_TRUE(table.Erase(5));
+  EXPECT_FALSE(table.Contains(5));
+  table.Insert(5, "second");
+  EXPECT_EQ(*table.Find(5), "second");
+  table.Insert(5, "third");  // Overwrites in place.
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.Take(5).value(), "third");
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(IdTableTest, GrowsAndShrinksWithTheLiveCount) {
+  IdTable<uint64_t> table;
+  for (uint64_t id = 1; id <= 1000; ++id) table.Insert(id, id);
+  EXPECT_EQ(table.capacity(), 2048u);
+  for (uint64_t id = 1; id < 1000; ++id) ASSERT_TRUE(table.Erase(id));
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.capacity(), 8u);
+  EXPECT_EQ(*table.Find(1000), 1000u);
 }
 
 }  // namespace

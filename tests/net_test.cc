@@ -10,6 +10,7 @@
 #include "net/network.h"
 #include "net/node.h"
 #include "net/stats.h"
+#include "telemetry/metrics.h"
 
 namespace lhrs {
 namespace {
@@ -508,6 +509,126 @@ TEST(NetworkTest, NodesAddedDuringRunReceiveMessages) {
   net.RunUntilIdle();
   ASSERT_NE(spawner->child_ptr, nullptr);
   EXPECT_EQ(spawner->child_ptr->received, std::vector<int>{5});
+}
+
+// --- MessageStats layout -------------------------------------------------
+
+TEST(MessageStatsTest, ForKindAndRangeAtTheEdges) {
+  MessageStats stats;
+  // Recorded out of kind order, at the edges of two layers' ranges.
+  stats.RecordSend(200, 5, true);
+  stats.RecordSend(99, 7, true);
+  stats.RecordSend(100, 11, true);
+  stats.RecordSend(199, 13, true);
+  stats.RecordSend(100, 17, false);  // A multicast member: bytes only.
+  EXPECT_EQ(stats.ForKind(100).messages, 1u);
+  EXPECT_EQ(stats.ForKind(100).bytes, 28u);
+  EXPECT_EQ(stats.ForKind(101).messages, 0u);
+  EXPECT_EQ(stats.ForKind(-1).bytes, 0u);
+  EXPECT_EQ(stats.ForKind(1000).bytes, 0u);
+  // Half-open: lo is in, hi is out.
+  EXPECT_EQ(stats.ForKindRange(100, 200).messages, 2u);
+  EXPECT_EQ(stats.ForKindRange(100, 200).bytes, 41u);
+  EXPECT_EQ(stats.ForKindRange(99, 100).bytes, 7u);
+  EXPECT_EQ(stats.ForKindRange(200, 201).bytes, 5u);
+  EXPECT_EQ(stats.ForKindRange(0, 1000).messages, 4u);
+  EXPECT_EQ(stats.ForKindRange(201, 1000).messages, 0u);
+  EXPECT_EQ(stats.ForKindRange(150, 150).messages, 0u);
+  EXPECT_EQ(stats.total_messages(), 4u);
+  EXPECT_EQ(stats.deliveries(), 5u);
+}
+
+TEST(MessageStatsTest, PerNodeLookupsOutsideTheTable) {
+  MessageStats stats;
+  stats.RecordSend(1, 8, true, /*from=*/3);
+  stats.RecordSend(1, 8, true, kInvalidNode);  // Unattributed.
+  stats.RecordReceive(2, 8);
+  stats.RecordReceive(kInvalidNode, 8);  // Ignored.
+  EXPECT_EQ(stats.SentBy(3).messages, 1u);
+  EXPECT_EQ(stats.SentBy(2).messages, 0u);
+  EXPECT_EQ(stats.SentBy(4).messages, 0u);
+  EXPECT_EQ(stats.SentBy(1 << 20).bytes, 0u);
+  EXPECT_EQ(stats.SentBy(kInvalidNode).messages, 0u);
+  EXPECT_EQ(stats.ReceivedBy(2).bytes, 8u);
+  EXPECT_EQ(stats.ReceivedBy(3).messages, 0u);
+  EXPECT_EQ(stats.ReceivedBy(1 << 20).messages, 0u);
+  EXPECT_EQ(stats.ReceivedBy(kInvalidNode).messages, 0u);
+  EXPECT_EQ(stats.total_messages(), 2u);
+}
+
+TEST(MessageStatsTest, MergeFromShardsOfDifferentLengths) {
+  // The parallel engine folds per-locality shards that have seen
+  // different node ids and kinds into the published view.
+  MessageStats home, small, large;
+  home.RecordSend(100, 10, true, 1);
+  small.RecordSend(100, 1, true, 0);
+  small.RecordReceive(1, 1);
+  large.RecordSend(205, 100, true, 40);
+  large.RecordSend(90, 3, false, 1);
+  large.RecordReceive(41, 100);
+  large.RecordDeliveryFailure();
+  home.MergeFrom(small);
+  home.MergeFrom(large);
+  EXPECT_EQ(home.SentBy(0).messages, 1u);
+  EXPECT_EQ(home.SentBy(1).messages, 2u);
+  EXPECT_EQ(home.SentBy(1).bytes, 13u);
+  EXPECT_EQ(home.SentBy(40).bytes, 100u);
+  EXPECT_EQ(home.SentBy(39).messages, 0u);
+  EXPECT_EQ(home.ReceivedBy(1).messages, 1u);
+  EXPECT_EQ(home.ReceivedBy(41).bytes, 100u);
+  EXPECT_EQ(home.ForKind(100).messages, 2u);
+  EXPECT_EQ(home.ForKind(90).messages, 0u);
+  EXPECT_EQ(home.ForKind(90).bytes, 3u);
+  EXPECT_EQ(home.ForKindRange(0, 1000).bytes, 114u);
+  EXPECT_EQ(home.total_messages(), 3u);
+  EXPECT_EQ(home.deliveries(), 4u);
+  EXPECT_EQ(home.delivery_failures(), 1u);
+  // Merging a shorter shard into a longer view leaves its tail alone.
+  large.MergeFrom(small);
+  EXPECT_EQ(large.SentBy(40).bytes, 100u);
+  EXPECT_EQ(large.SentBy(0).messages, 1u);
+}
+
+TEST(MessageStatsTest, ExportToSkipsNodesThatNeverSentOrReceived) {
+  RegisterMessageKindName(kTestMsgKind, "test.Msg");
+  MessageStats stats;
+  stats.RecordSend(kTestMsgKind, 16, true, 0);
+  stats.RecordSend(kTestMsgKind, 16, true, 5);
+  stats.RecordSend(kTestMsgKind + 1, 4, true, 5);
+  stats.RecordReceive(3, 16);
+  telemetry::MetricsRegistry registry;
+  stats.ExportTo(&registry);
+  // Two kinds, two senders and one receiver, a messages and a bytes
+  // series each; nothing for the ids in between.
+  EXPECT_EQ(registry.size(), 10u);
+  EXPECT_EQ(registry.FindCounter("net.sent.messages{kind=test.Msg}")->value(),
+            2u);
+  EXPECT_EQ(registry.FindCounter("net.sent.bytes{kind=kind91}")->value(), 4u);
+  EXPECT_EQ(registry.FindCounter("net.node_sent.messages{node=5}")->value(),
+            2u);
+  EXPECT_EQ(registry.FindCounter("net.node_sent.bytes{node=5}")->value(),
+            20u);
+  EXPECT_EQ(registry.FindCounter("net.node_sent.bytes{node=0}")->value(),
+            16u);
+  EXPECT_EQ(
+      registry.FindCounter("net.node_received.messages{node=3}")->value(),
+      1u);
+  EXPECT_EQ(registry.FindCounter("net.node_sent.messages{node=3}"), nullptr);
+  EXPECT_EQ(registry.FindCounter("net.node_sent.messages{node=1}"), nullptr);
+  EXPECT_EQ(registry.FindCounter("net.node_received.bytes{node=0}"),
+            nullptr);
+}
+
+TEST(MessageStatsTest, DeliveryReadsTheSizeTakenAtSend) {
+  Network net;
+  const NodeId a = net.AddNode(std::make_unique<EchoNode>(false));
+  const NodeId b = net.AddNode(std::make_unique<EchoNode>(false));
+  auto msg = std::make_unique<TestMsg>();
+  msg->size = 3000;
+  net.Send(a, b, std::move(msg));
+  net.RunUntilIdle();
+  EXPECT_EQ(net.stats().SentBy(a).bytes, 3000u);
+  EXPECT_EQ(net.stats().ReceivedBy(b).bytes, 3000u);
 }
 
 }  // namespace
